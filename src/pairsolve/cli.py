@@ -459,6 +459,12 @@ def main(argv=None) -> int:
         return 4
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.energies is None:
+            print("best energies: none settled", file=sys.stderr)
+        else:
+            best = ", ".join(repr(float(e)) for e in exc.energies)
+            print(f"best energies: {best}", file=sys.stderr)
+            print(f"residual: {exc.residual!r}", file=sys.stderr)
         return 5
 
 

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -35,6 +34,7 @@ from .errors import (
     NotNormalized,
     OddN,
 )
+from .exactdiag import lowest_eigenpairs
 from .model import PairingModel
 
 _SITE_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -43,9 +43,6 @@ _SITE_NUMBER = np.array([[0.0, 0.0], [0.0, 2.0]])
 #: Singular values below this relative cutoff are dropped when the
 #: cross-block coupling matrices are factored into low-rank products.
 _SVD_CUT = 1e-13
-
-#: Sector dimension at or below which the superblock is solved densely.
-_DENSE_SECTOR = 64
 
 #: Allowance for block Hamiltonians on top of the per-level operator
 #: budget: two enlarged blocks at dim 4m (double growth) plus slack.
@@ -391,47 +388,21 @@ class _Superblock:
 
 def _solve_superblock(hole, particle, model, target, config, guess=None):
     op = _Superblock(hole, particle, model, target)
-    n = op.sector_dim
-    if n <= _DENSE_SECTOR:
-        k = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            k[:, i] = op.matvec(e)
-            e[i] = 0.0
-        vals, vecs = scipy.linalg.eigh(k)
-        return float(vals[0]), op.embed(vecs[:, 0]), op.work_entries()
     v0 = None
     if guess is not None and guess.shape == (op.dh, op.dp):
         g = op.restrict(guess)
         norm = np.linalg.norm(g)
         if norm > 1e-8:
             v0 = g / norm
-    if v0 is None:
-        rng = np.random.default_rng(config.seed)
-        v0 = rng.standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-    lin = scipy.sparse.linalg.LinearOperator((n, n), matvec=op.matvec, dtype=float)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            lin,
-            k=1,
-            which="SA",
-            tol=config.superblock_tol,
-            v0=v0,
-            maxiter=config.max_superblock_iters,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        res = None
-        if len(exc.eigenvalues):
-            v = exc.eigenvectors[:, 0]
-            res = float(np.linalg.norm(op.matvec(v) - exc.eigenvalues[0] * v))
-        raise NoConvergence(
-            "superblock eigensolver did not converge",
-            energies=np.sort(exc.eigenvalues) if len(exc.eigenvalues) else None,
-            residual=res,
-        ) from None
-    return float(vals[0]), op.embed(vecs[:, 0]), op.work_entries()
+    energies, vectors, _ = lowest_eigenpairs(
+        op.matvec,
+        op.sector_dim,
+        tol=config.superblock_tol,
+        v0=v0,
+        seed=config.seed,
+        maxiter=config.max_superblock_iters,
+    )
+    return float(energies[0]), op.embed(vectors[:, 0]), op.work_entries()
 
 
 def superblock_ground(hole, particle, model: PairingModel, target: int, config: DmrgConfig, guess=None):

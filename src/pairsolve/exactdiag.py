@@ -1,8 +1,9 @@
 """Exact spectra in the seniority-zero pair sector.
 
 Provides a matrix-free Hamiltonian action over a PairBasis, a dense
-full-spectrum solver for small sectors (the verification oracle) and an
-iterative ground-state solver for large ones.
+full-spectrum solver for small sectors (the verification oracle), an
+iterative ground-state solver for large ones, and lowest_eigenpairs, the
+eigensolver entry point that the DMRG superblock solve shares.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .model import PairingModel
 #: Largest sector handled by the dense solver unless overridden.
 DENSE_THRESHOLD = 4000
 
-#: Below this size the iterative solver silently uses the dense path.
+#: lowest_eigenpairs diagonalizes operators up to this size densely.
 _DENSE_FALLBACK_DIM = 64
 
 #: Hop index tables are precomputed while their total entry count stays
@@ -151,12 +152,6 @@ class HamiltonianAction:
             h[src, dst] += c
         return h
 
-    def as_linear_operator(self) -> scipy.sparse.linalg.LinearOperator:
-        dim = self.basis.dim
-        return scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=self.apply, dtype=float
-        )
-
 
 def apply(model: PairingModel, basis: PairBasis, x: np.ndarray) -> np.ndarray:
     """One-shot H x; build a HamiltonianAction to amortize repeated use."""
@@ -189,12 +184,65 @@ class SpectrumResult:
         }
 
 
-def _residual(action: HamiltonianAction, energies, vectors) -> float:
+def _residual(matvec, energies, vectors) -> float:
     worst = 0.0
     for e, v in zip(energies, vectors.T):
-        r = float(np.linalg.norm(action.apply(v) - e * v))
+        r = float(np.linalg.norm(matvec(v) - e * v))
         worst = max(worst, r)
     return worst
+
+
+def _ascending(energies, vectors):
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order]
+
+
+def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
+    """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
+
+    Returns (energies ascending, eigenvectors as columns, "dense" or
+    "iterative").  Up to the dense fallback size, or with k > n - 2, the
+    matrix is built column by column and diagonalized; otherwise ARPACK
+    starts from ``v0`` or a normal vector drawn from ``seed``, with
+    ``tol`` relative to its spectral scale estimate.  NoConvergence
+    carries the settled energies, ascending, and their worst residual.
+    """
+    if not 1 <= k <= n:
+        raise InvariantViolation(f"k must be in 1..{n}, got {k}")
+    if tol <= 0:
+        raise InvariantViolation(f"tol must be positive, got {tol}")
+    if n <= _DENSE_FALLBACK_DIM or k > n - 2:
+        h = np.empty((n, n))
+        e = np.zeros(n)
+        for i in range(n):
+            e[i] = 1.0
+            h[:, i] = matvec(e)
+            e[i] = 0.0
+        # a negative diagonal times 0 leaves -0.0, which can flip eigh's
+        # Householder signs; dense_matrix holds +0.0 there
+        h += 0.0
+        energies, vectors = scipy.linalg.eigh(h)
+        return energies[:k], vectors[:, :k], "dense"
+    if v0 is None:
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        energies, vectors = scipy.sparse.linalg.eigsh(
+            op, k=k, which="SA", tol=tol, v0=v0, maxiter=maxiter
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        best = residual = None
+        if len(exc.eigenvalues):
+            best, vecs = _ascending(exc.eigenvalues, exc.eigenvectors)
+            residual = _residual(matvec, best, vecs)
+        raise NoConvergence(
+            f"eigensolver did not converge within the allowed steps "
+            f"({len(exc.eigenvalues)} of {k} eigenpairs settled)",
+            energies=best,
+            residual=residual,
+        ) from None
+    return (*_ascending(energies, vectors), "iterative")
 
 
 def dense_spectrum(
@@ -213,7 +261,7 @@ def dense_spectrum(
     energies, vectors = scipy.linalg.eigh(h)
     return SpectrumResult(
         energies=energies,
-        residual=_residual(action, energies, vectors),
+        residual=_residual(action.apply, energies, vectors),
         method="dense",
         n_levels=basis.n_levels,
         n_pairs=basis.n_pairs,
@@ -236,55 +284,14 @@ def iterative_ground(
     Sectors at or below the dense fallback size (or with k too close to
     the full dimension for the iteration to run) are solved densely.
     """
-    dim = basis.dim
-    if not 1 <= k <= dim:
-        raise InvariantViolation(f"k must be in 1..{dim}, got {k}")
-    if tol <= 0:
-        raise InvariantViolation(f"tol must be positive, got {tol}")
     action = HamiltonianAction(model, basis)
-    if dim <= _DENSE_FALLBACK_DIM or k > dim - 2:
-        h = action.dense_matrix()
-        energies, vectors = scipy.linalg.eigh(h)
-        energies, vectors = energies[:k], vectors[:, :k]
-        return SpectrumResult(
-            energies=energies,
-            residual=_residual(action, energies, vectors),
-            method="dense",
-            n_levels=basis.n_levels,
-            n_pairs=basis.n_pairs,
-            ground_vector=vectors[:, 0].copy(),
-        )
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    try:
-        energies, vectors = scipy.sparse.linalg.eigsh(
-            action.as_linear_operator(),
-            k=k,
-            which="SA",
-            tol=tol,
-            v0=v0,
-            maxiter=max_iterations,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as e:
-        got = np.sort(e.eigenvalues) if len(e.eigenvalues) else None
-        res = (
-            _residual(action, np.sort(e.eigenvalues), e.eigenvectors)
-            if len(e.eigenvalues)
-            else None
-        )
-        raise NoConvergence(
-            f"iteration did not converge within the allowed steps "
-            f"({len(e.eigenvalues)} of {k} eigenpairs settled)",
-            energies=got,
-            residual=res,
-        ) from None
-    order = np.argsort(energies)
-    energies, vectors = energies[order], vectors[:, order]
+    energies, vectors, method = lowest_eigenpairs(
+        action.apply, basis.dim, k, tol=tol, seed=seed, maxiter=max_iterations
+    )
     return SpectrumResult(
         energies=energies,
-        residual=_residual(action, energies, vectors),
-        method="iterative",
+        residual=_residual(action.apply, energies, vectors),
+        method=method,
         n_levels=basis.n_levels,
         n_pairs=basis.n_pairs,
         ground_vector=vectors[:, 0].copy(),

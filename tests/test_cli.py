@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from pairsolve import build_reduced_bcs, enumerate_basis
 from pairsolve.cli import main
 
 TOY_GROUND = 4.5103478446361525
@@ -166,6 +167,33 @@ def test_ed_iterative_method(eight_path, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["method"] == "iterative"
     assert doc["n_pairs"] == 4
+
+
+def test_ed_non_convergence_reports_best_estimate(
+    eight_path, tmp_path, capsys, unconverged_eigsh
+):
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)  # EIGHT_DOC
+    lowest = unconverged_eigsh(model, enumerate_basis(8, 4))
+    out = tmp_path / "ed.json"
+    code = main(
+        [
+            "ed",
+            "--model", eight_path,
+            "--pairs", "4",
+            "--method", "iterative",
+            "--k", "2",
+            "--out", str(out),
+            "--no-timestamp",
+        ]
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "error:" in err
+    best = ", ".join(repr(float(e)) for e in lowest)
+    assert f"best energies: {best}\n" in err
+    residual = err.split("residual: ")[1].splitlines()[0]
+    assert float(residual) < 1e-10
+    assert not out.exists()
 
 
 def test_ed_too_large_prints_hint(tmp_path, capsys):

@@ -21,7 +21,7 @@ from pairsolve import (
     iterative_ground,
     matrix_element,
 )
-from pairsolve.exactdiag import DENSE_THRESHOLD, apply
+from pairsolve.exactdiag import DENSE_THRESHOLD, apply, lowest_eigenpairs
 
 
 def random_model(rng, n):
@@ -290,6 +290,30 @@ def test_iterative_reports_non_convergence():
     err = exc.value
     assert "converge" in str(err)
     assert err.energies is None or len(err.energies) >= 0
+
+
+def test_non_convergence_pairs_energies_with_their_vectors(unconverged_eigsh):
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
+    basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
+    lowest = unconverged_eigsh(model, basis)
+    with pytest.raises(NoConvergence) as exc:
+        iterative_ground(model, basis, k=2)
+    err = exc.value
+    assert np.array_equal(err.energies, lowest)
+    assert err.energies[0] < err.energies[1]
+    assert err.residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, k, method",
+    [(64, 1, "dense"), (65, 1, "iterative"), (65, 64, "dense")],
+)
+def test_lowest_eigenpairs_dense_crossover(n, k, method):
+    diag = np.random.default_rng(n).permutation(n) - 10.0
+    energies, vectors, used = lowest_eigenpairs(lambda x: diag * x, n, k, tol=1e-12)
+    assert used == method
+    assert vectors.shape == (n, k)
+    assert np.allclose(energies, np.sort(diag)[:k], rtol=0.0, atol=1e-12)
 
 
 def test_twelve_level_ground_energy_pinned():
