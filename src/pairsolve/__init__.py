@@ -10,7 +10,6 @@ from .dmrg import (
     DmrgConfig,
     DmrgResult,
     GrownBlock,
-    grow_block,
     history_csv,
     init_blocks,
     memory_report,

@@ -5,9 +5,10 @@ additionally suppresses generation times (and zeroes wall-clock fields) so
 output files are byte-identical across runs.  Each output file gets a
 sibling <out>.manifest.json recording the command, inputs and seeds.
 
-Exit codes: 0 success, 2 validation failure, 3 problem too large,
-4 unsupported shape (odd N, infeasible pair target, empty sector),
-5 solver failure.
+Exit codes: 0 success, 2 validation failure (including a broken DMRG
+storage bound), 3 problem too large or out of memory, 4 unsupported shape
+(odd N, infeasible pair target, empty sector), 5 solver failure (including
+a linear-algebra error).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import enumerate_basis, sector_dimension
-from .dmrg import DmrgConfig, history_csv, run_infinite, summary_dict
+from .dmrg import DmrgConfig, history_csv, memory_report, run_infinite, summary_dict
 from .errors import (
     DegenerateEta,
     DimensionMismatch,
@@ -210,6 +211,7 @@ def _run_dmrg(model, args, m):
         seed=args.seed,
     )
     result = run_infinite(model, config)
+    memory_report(result)  # raises InvariantViolation before any output
     if args.no_timestamp:
         result = dataclasses.replace(result, wall_seconds=0.0)
     return result
@@ -438,6 +440,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
+        print("best energies: none settled", file=sys.stderr)
+        return 5
     except (
         SchemaError,
         InvariantViolation,
@@ -453,6 +459,9 @@ def main(argv=None) -> int:
         return 2
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 3
     except (OddN, InfeasibleTarget, EmptySector) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,14 +7,17 @@ the superblock ground state is found in a fixed total-pair sector, and each
 block is truncated to at most m states selected by its reduced density
 matrix.  A full run takes exactly N/2 iterations.
 
-Memory layout: a truncated block stores two explicit matrices per level
-(pair creation and number; annihilation is the transpose on demand) plus
-its block Hamiltonian.  A freshly grown block stores only its enlarged
-Hamiltonian next to the untouched core block; enlarged per-level operators
-are produced on demand as Kronecker factors and never held simultaneously.
-This keeps stored per-level operator entries within the 3*m^2*N budget
-(counted in the 3-per-level convention) with the block Hamiltonians as the
-only constant overhead; solver work arrays are accounted separately.
+Memory layout: a block stores its block Hamiltonian and, for each level
+in its kept basis, two explicit matrices (pair creation and number;
+annihilation is the transpose on demand).  Levels added by growth are
+bare: they store nothing, and their operators, like the enlarged operators
+of the kept levels, are Kronecker products built on demand and never held
+together.  A grown block shares its core's explicit operators and drops
+the core Hamiltonian, so stored per-level entries (counted in the
+3-per-level convention) stay within 3*m^2*N for every m >= 2.  On top of
+that the two block Hamiltonians take at most (4m)^2 + m^2 entries: only
+one side grows by two levels in an iteration, and then the other side
+does not grow.  Solver work arrays are accounted separately.
 """
 from __future__ import annotations
 
@@ -44,28 +47,33 @@ _SITE_NUMBER = np.array([[0.0, 0.0], [0.0, 2.0]])
 #: cross-block coupling matrices are factored into low-rank products.
 _SVD_CUT = 1e-13
 
-#: Allowance for block Hamiltonians on top of the per-level operator
-#: budget: two enlarged blocks at dim 4m (double growth) plus slack.
-MEMORY_OVERHEAD_FACTOR = 24
-
 
 class Block:
-    """A set of levels in an explicit truncated basis.
+    """A set of levels: explicit leading levels and bare trailing levels.
 
-    Stores pair-number sector labels, the block Hamiltonian and, per level,
-    the projected pair-creation and number operators (annihilation is the
-    transpose).  Instances are treated as immutable.
+    The basis is core-major, index = a * 2**n_bare + s.  ``a`` runs over a
+    kept basis of dim ``core_dim`` on which each leading level stores its
+    projected pair-creation and number operators (annihilation is the
+    transpose).  ``s`` runs over the occupation patterns of the trailing
+    ``n_bare`` levels, the last level fastest; bare levels store nothing and
+    their operators are Kronecker products built on demand.  Also stores
+    pair-number sector labels and the block Hamiltonian on the full basis.
+    Instances are treated as immutable.
     """
 
-    def __init__(self, levels, sectors, h, raise_ops, number_ops):
+    def __init__(self, levels, sectors, h, raise_ops, number_ops, n_bare=0):
         self.levels = tuple(int(x) for x in levels)
         self.sectors = np.asarray(sectors, dtype=int)
         self.h = np.asarray(h, dtype=float)
         self.raise_ops = [np.asarray(a, dtype=float) for a in raise_ops]
         self.number_ops = [np.asarray(a, dtype=float) for a in number_ops]
-        if len(self.raise_ops) != len(self.levels) or len(self.number_ops) != len(self.levels):
-            raise InvariantViolation("one pair-creation and one number operator per level")
-        if self.h.shape != (self.dim, self.dim):
+        self.n_bare = n_bare
+        n_explicit = len(self.levels) - n_bare
+        if len(self.raise_ops) != n_explicit or len(self.number_ops) != n_explicit:
+            raise InvariantViolation(
+                "one pair-creation and one number operator per explicit level"
+            )
+        if self.h.shape != (self.dim, self.dim) or self.dim % (1 << n_bare):
             raise InvariantViolation(
                 f"block Hamiltonian shape {self.h.shape} does not match dim {self.dim}"
             )
@@ -74,26 +82,40 @@ class Block:
     def dim(self) -> int:
         return len(self.sectors)
 
+    @property
+    def core_dim(self) -> int:
+        return self.dim >> self.n_bare
+
+    def _op(self, level: int, ops, site) -> np.ndarray:
+        i = self.levels.index(level)
+        if i < len(ops):
+            if not self.n_bare:
+                return ops[i]
+            return np.kron(ops[i], np.eye(1 << self.n_bare))
+        return np.kron(np.eye(self.core_dim), _bare_op(site, i - len(ops), self.n_bare))
+
     def raise_op(self, level: int) -> np.ndarray:
-        return self.raise_ops[self.levels.index(level)]
+        return self._op(level, self.raise_ops, _SITE_RAISE)
 
     def number_op(self, level: int) -> np.ndarray:
-        return self.number_ops[self.levels.index(level)]
+        return self._op(level, self.number_ops, _SITE_NUMBER)
+
+    def _weighted(self, coeffs, ops, site) -> np.ndarray:
+        n, nb = len(ops), self.n_bare
+        out = _combine(coeffs[:n], ops, self.core_dim)
+        if not nb:
+            return out
+        bare = _combine(coeffs[n:], [_bare_op(site, j, nb) for j in range(nb)], 1 << nb)
+        out = np.kron(out, np.eye(1 << nb))
+        out += np.kron(np.eye(self.core_dim), bare)
+        return out
 
     def weighted_raise(self, coeffs) -> np.ndarray:
         """Sum of per-level pair-creation operators with given weights."""
-        out = np.zeros((self.dim, self.dim))
-        for c, op in zip(coeffs, self.raise_ops):
-            if c:
-                out += c * op
-        return out
+        return self._weighted(coeffs, self.raise_ops, _SITE_RAISE)
 
     def weighted_number(self, coeffs) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for c, op in zip(coeffs, self.number_ops):
-            if c:
-                out += c * op
-        return out
+        return self._weighted(coeffs, self.number_ops, _SITE_NUMBER)
 
     def stored_entries(self) -> int:
         """Matrix entries actually held by this block."""
@@ -102,8 +124,44 @@ class Block:
         )
 
     def per_level_entries(self) -> int:
-        """Per-level operator entries in the 3-per-level convention."""
-        return 3 * len(self.levels) * self.dim * self.dim
+        """Stored per-level operator entries in the 3-per-level convention."""
+        return 3 * len(self.raise_ops) * self.core_dim * self.core_dim
+
+
+def _bare_op(site: np.ndarray, j: int, n: int) -> np.ndarray:
+    """``site`` acting on bare level j of n, over their 2**n patterns."""
+    return np.kron(np.kron(np.eye(1 << j), site), np.eye(1 << (n - j - 1)))
+
+
+def _combine(coeffs, ops, d: int) -> np.ndarray:
+    out = np.zeros((d, d))
+    for c, op in zip(coeffs, ops):
+        if c:
+            out += c * op
+    return out
+
+
+def _join(h_a, ops_a, h_b, ops_b, model: PairingModel) -> np.ndarray:
+    """Hamiltonian on A (x) B, B fastest, from each side's Hamiltonian and
+    its (level, pair creation, number) operators."""
+    h = np.kron(h_a, np.eye(len(h_b))) + np.kron(np.eye(len(h_a)), h_b)
+    for li, bi, ni in ops_a:
+        for lj, bj, nj in ops_b:
+            w1 = float(model.v1[li, lj])
+            w2 = float(model.v2[li, lj])
+            if w1:
+                h += w1 * (np.kron(bi, bj.T) + np.kron(bi.T, bj))
+            if w2:
+                h += 2.0 * w2 * np.kron(ni, nj)
+    return h
+
+
+def _bare_ops(levels):
+    n = len(levels)
+    return [
+        (l, _bare_op(_SITE_RAISE, j, n), _bare_op(_SITE_NUMBER, j, n))
+        for j, l in enumerate(levels)
+    ]
 
 
 def vacuum_block() -> Block:
@@ -111,109 +169,35 @@ def vacuum_block() -> Block:
     return Block((), [0], [[0.0]], [], [])
 
 
-def single_level_block(model: PairingModel, level: int) -> Block:
-    """Exact two-state block for one level: basis (empty, pair)."""
-    e = float(model.eps[level])
-    return Block(
-        (level,),
-        [0, 1],
-        np.diag([0.0, 2.0 * e]),
-        [_SITE_RAISE],
-        [_SITE_NUMBER],
-    )
+class GrownBlock(Block):
+    """``core`` enlarged by bare ``levels``.
 
-
-class GrownBlock:
-    """A core block enlarged by a small exactly-represented added block.
-
-    The product basis is core-major: index = a * added.dim + s.  Only the
-    enlarged Hamiltonian is materialized; enlarged per-level operators are
-    built on demand as op (x) identity or identity (x) op and are not
-    stored, so growth does not multiply the per-level storage.
+    The new levels are first combined exactly, one at a time, and then
+    joined to the core; the core's explicit operators are shared, not
+    copied, and the core's Hamiltonian is not kept.
     """
 
-    def __init__(self, core: Block, added: Block, model: PairingModel):
-        overlap = set(core.levels) & set(added.levels)
-        if overlap:
-            raise InvariantViolation(f"levels {sorted(overlap)} already in block")
-        self.core = core
-        self.added = added
-        self.levels = core.levels + added.levels
-        self.sectors = np.add.outer(core.sectors, added.sectors).ravel()
-        ic = np.eye(core.dim)
-        ia = np.eye(added.dim)
-        h = np.kron(core.h, ia) + np.kron(ic, added.h)
-        for li in core.levels:
-            for lj in added.levels:
-                w1 = float(model.v1[li, lj])
-                w2 = float(model.v2[li, lj])
-                if w1:
-                    bi = core.raise_op(li)
-                    bj = added.raise_op(lj)
-                    h += w1 * (np.kron(bi, bj.T) + np.kron(bi.T, bj))
-                if w2:
-                    h += 2.0 * w2 * np.kron(core.number_op(li), added.number_op(lj))
-        self.h = h
-
-    @property
-    def dim(self) -> int:
-        return self.core.dim * self.added.dim
-
-    def raise_op(self, level: int) -> np.ndarray:
-        if level in self.core.levels:
-            return np.kron(self.core.raise_op(level), np.eye(self.added.dim))
-        return np.kron(np.eye(self.core.dim), self.added.raise_op(level))
-
-    def number_op(self, level: int) -> np.ndarray:
-        if level in self.core.levels:
-            return np.kron(self.core.number_op(level), np.eye(self.added.dim))
-        return np.kron(np.eye(self.core.dim), self.added.number_op(level))
-
-    def _weighted(self, coeffs, kind: str) -> np.ndarray:
-        nc = len(self.core.levels)
-        cc, ca = coeffs[:nc], coeffs[nc:]
-        core_sum = getattr(self.core, kind)(cc)
-        added_sum = getattr(self.added, kind)(ca)
-        out = np.kron(core_sum, np.eye(self.added.dim))
-        out += np.kron(np.eye(self.core.dim), added_sum)
-        return out
-
-    def weighted_raise(self, coeffs) -> np.ndarray:
-        return self._weighted(coeffs, "weighted_raise")
-
-    def weighted_number(self, coeffs) -> np.ndarray:
-        return self._weighted(coeffs, "weighted_number")
-
-    def to_block(self) -> Block:
-        """Materialize every per-level operator; small blocks and tests."""
-        return Block(
-            self.levels,
-            self.sectors,
-            self.h,
-            [self.raise_op(l) for l in self.levels],
-            [self.number_op(l) for l in self.levels],
+    def __init__(self, core: Block, levels, model: PairingModel):
+        levels = tuple(int(x) for x in levels)
+        if len(set(core.levels + levels)) != len(core.levels) + len(levels):
+            raise InvariantViolation(
+                f"levels {list(levels)} repeat a level or one of {list(core.levels)}"
+            )
+        h_add, sectors = np.zeros((1, 1)), np.zeros(1, dtype=int)
+        for j, level in enumerate(levels):
+            site = [(level, _SITE_RAISE, _SITE_NUMBER)]
+            site_h = np.diag([0.0, 2.0 * float(model.eps[level])])
+            h_add = _join(h_add, _bare_ops(levels[:j]), site_h, site, model)
+            sectors = np.add.outer(sectors, [0, 1]).ravel()
+        ops = [(l, core.raise_op(l), core.number_op(l)) for l in core.levels]
+        super().__init__(
+            core.levels + levels,
+            np.add.outer(core.sectors, sectors).ravel(),
+            _join(core.h, ops, h_add, _bare_ops(levels), model),
+            core.raise_ops,
+            core.number_ops,
+            core.n_bare + len(levels),
         )
-
-    def stored_entries(self) -> int:
-        return self.core.stored_entries() + self.added.stored_entries() + self.h.size
-
-    def per_level_entries(self) -> int:
-        return self.core.per_level_entries() + self.added.per_level_entries()
-
-
-def grow_block(block, level: int, model: PairingModel) -> GrownBlock:
-    """Enlarge a block by one level; basis order (old basis) x (empty, pair)."""
-    if isinstance(block, GrownBlock):
-        block = block.to_block()
-    return GrownBlock(block, single_level_block(model, level), model)
-
-
-def exact_block(model: PairingModel, levels) -> Block:
-    """Explicit untruncated block over a few levels, built by repeated growth."""
-    b = vacuum_block()
-    for level in levels:
-        b = grow_block(b, level, model).to_block()
-    return b
 
 
 @dataclass(frozen=True)
@@ -305,8 +289,8 @@ def init_blocks(model: PairingModel, config: DmrgConfig):
         )
     hole_seq, part_seq = _ordered_levels(model, config)
     h1, p1 = _schedule(n, config.total_pairs)[0]
-    hole = exact_block(model, hole_seq[:h1]) if h1 else vacuum_block()
-    particle = exact_block(model, part_seq[:p1]) if p1 else vacuum_block()
+    hole = GrownBlock(vacuum_block(), hole_seq[:h1], model)
+    particle = GrownBlock(vacuum_block(), part_seq[:p1], model)
     return hole, particle
 
 
@@ -500,10 +484,11 @@ class IterationRecord:
 class DmrgResult:
     """Per-iteration records plus the final energy and memory accounting.
 
-    memory_peak_entries counts matrix entries actually stored in block
-    structures at the worst moment; per_level_peak_entries is the same
-    peak counted in the 3-operators-per-level convention (excluding block
-    Hamiltonians); work_peak_entries covers solver scratch (composite
+    memory_peak_entries counts matrix entries actually stored in the two
+    blocks at the worst moment: block Hamiltonians plus explicit per-level
+    operators (bare levels store none).  per_level_peak_entries counts the
+    explicit per-level operators alone in the 3-operators-per-level
+    convention; work_peak_entries covers solver scratch (composite
     coupling operators, superblock vectors, density matrices).
     """
 
@@ -536,9 +521,10 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     h_prev, p_prev = plan[0]
     for k in range(1, n // 2 + 1):
         h_k, p_k = plan[k - 1]
-        if k > 1:
-            hole = _enlarge(hole, hole_seq[h_prev:h_k], model)
-            particle = _enlarge(particle, part_seq[p_prev:p_k], model)
+        if h_k > h_prev:
+            hole = GrownBlock(hole, hole_seq[h_prev:h_k], model)
+        if p_k > p_prev:
+            particle = GrownBlock(particle, part_seq[p_prev:p_k], model)
         target = target_pairs(k, n, config.total_pairs)
         peak_stored = max(
             peak_stored, hole.stored_entries() + particle.stored_entries()
@@ -601,16 +587,6 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     )
 
 
-def _enlarge(block, new_levels, model):
-    if not new_levels:
-        return block
-    if len(new_levels) == 1:
-        return grow_block(block, new_levels[0], model)
-    if isinstance(block, GrownBlock):
-        block = block.to_block()
-    return GrownBlock(block, exact_block(model, new_levels), model)
-
-
 def _embed_guess(prev_psi, w_hole, w_part, delta):
     """Carry the previous ground state into the next superblock.
 
@@ -661,11 +637,13 @@ def memory_report(result: DmrgResult) -> dict:
     """Memory accounting against the 3*m^2*N block-operator budget.
 
     Raises InvariantViolation if per-level operator storage exceeded the
-    budget or total stored entries exceeded budget plus the documented
-    block-Hamiltonian allowance.
+    budget, or if total stored entries exceeded the budget plus the
+    block-Hamiltonian allowance (4m)^2 + m^2: one block grown by two levels
+    from at most m kept states next to one at most m.  Both hold for every
+    m >= 2.
     """
     bound = 3 * result.m**2 * result.n_levels
-    overhead = MEMORY_OVERHEAD_FACTOR * result.m**2
+    overhead = (4 * result.m) ** 2 + result.m**2
     report = {
         "n_levels": result.n_levels,
         "m": result.m,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pairsolve import build_reduced_bcs, enumerate_basis
+from pairsolve import cli
 from pairsolve.cli import main
 
 TOY_GROUND = 4.5103478446361525
@@ -290,6 +292,51 @@ def test_dmrg_infeasible_pairs(toy_path, tmp_path):
         ["dmrg", "--model", toy_path, "--pairs", "5", "--m", "4", "--out", str(tmp_path / "x.json")]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "command, m_flag",
+    [("dmrg", ["--m", "4"]), ("compare", ["--m", "4"]), ("sweep", ["--m-list", "2,4"])],
+)
+def test_dmrg_storage_violation_exits_2(
+    toy_path, tmp_path, monkeypatch, capsys, command, m_flag
+):
+    # every DMRG run is checked against the storage bound before any output
+    real = cli.run_infinite
+
+    def oversized(model, config):
+        return dataclasses.replace(real(model, config), per_level_peak_entries=10**9)
+
+    monkeypatch.setattr(cli, "run_infinite", oversized)
+    monkeypatch.setenv("PAIRSOLVE_THREADS", "1")
+    out = tmp_path / "x.out"
+    code = main(
+        [command, "--model", toy_path, "--pairs", "2", *m_flag, "--out", str(out)]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "toy.json"]
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(np.linalg.LinAlgError("eigh did not converge"), 5), (MemoryError(), 3)],
+)
+def test_solver_errors_map_to_exit_codes(
+    toy_path, tmp_path, monkeypatch, capsys, exc, code
+):
+    def fail(model, config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_infinite", fail)
+    out = tmp_path / "x.json"
+    argv = ["dmrg", "--model", toy_path, "--pairs", "2", "--m", "4", "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if code == 5:
+        assert "best energies: none settled" in err
+    assert not out.exists()
 
 
 def test_compare_json(toy_path, tmp_path, capsys):

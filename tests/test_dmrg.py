@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsolve import (
     Block,
@@ -18,7 +20,6 @@ from pairsolve import (
     build_reduced_bcs,
     dense_spectrum,
     enumerate_basis,
-    grow_block,
     history_csv,
     init_blocks,
     matrix_element,
@@ -30,7 +31,7 @@ from pairsolve import (
     target_pairs,
     truncate,
 )
-from pairsolve.dmrg import DimensionMismatch, exact_block, single_level_block, vacuum_block
+from pairsolve.dmrg import DimensionMismatch, vacuum_block
 from pairsolve.errors import PairsolveError
 
 
@@ -47,6 +48,31 @@ def random_model(rng, n):
     v2 = 0.5 * (v2 + v2.T)
     np.fill_diagonal(v2, 0.0)
     return PairingModel(eps=np.sort(rng.normal(size=n)) * 2.0, v1=v1, v2=v2)
+
+
+def exact_block(model, levels):
+    """Untruncated block over ``levels``, every level bare."""
+    return GrownBlock(vacuum_block(), levels, model)
+
+
+def explicit_block(model, levels):
+    """Untruncated block over ``levels`` storing every level's operators."""
+    d = 1 << len(levels)
+    return truncate(exact_block(model, levels), np.eye(d) / d, d)[0]
+
+
+def pattern_ops(levels, level):
+    """Pair creation and number for ``level`` on the ``block_patterns`` basis."""
+    pats = block_patterns(levels)
+    index = {p: a for a, p in enumerate(pats)}
+    b = np.zeros((len(pats), len(pats)))
+    n = np.zeros_like(b)
+    for c, p in enumerate(pats):
+        if p >> level & 1:
+            n[c, c] = 2.0
+        else:
+            b[index[p | 1 << level], c] = 1.0
+    return b, n
 
 
 def block_patterns(levels):
@@ -77,13 +103,15 @@ TOY_RHO_EIGS = [
 
 def test_single_level_block():
     model = toy_model()
-    b = single_level_block(model, 2)
+    b = GrownBlock(vacuum_block(), [2], model)
     assert b.levels == (2,)
     assert b.dim == 2
     assert b.sectors.tolist() == [0, 1]
     assert np.array_equal(b.h, np.diag([0.0, 6.0]))
     assert np.array_equal(b.raise_op(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert np.array_equal(b.number_op(2), np.diag([0.0, 2.0]))
+    assert b.n_bare == 1
+    assert b.stored_entries() == 4  # a bare level stores no operators
 
 
 def test_vacuum_block():
@@ -96,7 +124,7 @@ def test_vacuum_block():
 
 def test_grow_block_sectors_and_dim():
     model = toy_model()
-    g = grow_block(single_level_block(model, 0), 1, model)
+    g = GrownBlock(exact_block(model, [0]), [1], model)
     assert isinstance(g, GrownBlock)
     assert g.dim == 4
     assert g.levels == (0, 1)
@@ -118,35 +146,56 @@ def test_grown_hamiltonian_matches_single_elements():
 
 
 def test_grown_block_operators_match_materialized():
-    model = toy_model()
-    g = grow_block(exact_block(model, [0, 1]), 2, model)
-    mat = g.to_block()
-    for lvl in g.levels:
-        assert np.array_equal(g.raise_op(lvl), mat.raise_op(lvl))
-        assert np.array_equal(g.number_op(lvl), mat.number_op(lvl))
-    coeffs = [0.3, -1.2, 0.7]
-    want = sum(c * mat.raise_op(l) for c, l in zip(coeffs, g.levels))
+    # two explicit core levels on the pattern basis, two bare levels added
+    model = random_model(np.random.default_rng(3), 5)
+    core_levels, levels = [0, 1], [0, 1, 2, 4]
+    core = Block(
+        core_levels,
+        exact_block(model, core_levels).sectors,
+        exact_block(model, core_levels).h,
+        [pattern_ops(core_levels, l)[0] for l in core_levels],
+        [pattern_ops(core_levels, l)[1] for l in core_levels],
+    )
+    g = GrownBlock(core, [2, 4], model)
+    assert g.levels == tuple(levels)
+    assert (g.core_dim, g.n_bare) == (4, 2)
+    pats = block_patterns(levels)
+    for a, s in enumerate(pats):
+        for c, t in enumerate(pats):
+            if g.sectors[a] == g.sectors[c]:
+                assert g.h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
+    for lvl in levels:
+        b, n = pattern_ops(levels, lvl)
+        assert np.array_equal(g.raise_op(lvl), b)
+        assert np.array_equal(g.number_op(lvl), n)
+    coeffs = [0.3, -1.2, 0.7, 0.0]
+    want = sum(c * pattern_ops(levels, l)[0] for c, l in zip(coeffs, levels))
     assert np.allclose(g.weighted_raise(coeffs), want, atol=1e-13)
-    want = sum(c * mat.number_op(l) for c, l in zip(coeffs, g.levels))
+    want = sum(c * pattern_ops(levels, l)[1] for c, l in zip(coeffs, levels))
     assert np.allclose(g.weighted_number(coeffs), want, atol=1e-13)
 
 
 def test_grown_block_stores_less_than_materialized():
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
-    core = exact_block(model, [0, 1, 2])
-    g = grow_block(core, 3, model)
-    assert g.stored_entries() < g.to_block().stored_entries()
+    core = explicit_block(model, [0, 1, 2])
+    g = GrownBlock(core, [3], model)
+    # exactly h plus the core's shared explicit operators; core.h is dropped
+    assert g.stored_entries() == g.h.size + 2 * 3 * core.dim**2
+    assert all(a is b for a, b in zip(g.raise_ops, core.raise_ops))
+    assert g.stored_entries() < g.h.size + 2 * len(g.levels) * g.dim**2
 
 
 def test_grow_block_rejects_duplicate_level():
     model = toy_model()
     with pytest.raises(InvariantViolation):
-        grow_block(single_level_block(model, 1), 1, model)
+        GrownBlock(exact_block(model, [1]), [1], model)
+    with pytest.raises(InvariantViolation):
+        exact_block(model, [2, 2])
 
 
 def test_per_level_entry_convention():
     model = toy_model()
-    b = exact_block(model, [0, 1])  # 2 levels, dim 4
+    b = explicit_block(model, [0, 1])  # 2 levels, dim 4, kept by truncation
     assert b.per_level_entries() == 3 * 2 * 16
     assert b.stored_entries() == 16 + 2 * 16 + 2 * 16  # h plus 2 ops per level
 
@@ -222,8 +271,8 @@ def test_superblock_two_level_closed_form():
         v1=np.array([[0.0, -1.0], [-1.0, 0.0]]),
         v2=np.zeros((2, 2)),
     )
-    hole = single_level_block(model, 0)
-    particle = single_level_block(model, 1)
+    hole = exact_block(model, [0])
+    particle = exact_block(model, [1])
     e0, psi = superblock_ground(hole, particle, model, 1, DmrgConfig(m=2, total_pairs=1))
     assert e0 == pytest.approx(-math.sqrt(5.0), abs=1e-12)
     assert psi.shape == (2, 2)
@@ -235,8 +284,8 @@ def test_superblock_two_level_closed_form():
 
 def test_superblock_empty_sector():
     model = toy_model()
-    hole = single_level_block(model, 1)
-    particle = single_level_block(model, 2)
+    hole = exact_block(model, [1])
+    particle = exact_block(model, [2])
     with pytest.raises(EmptySector):
         superblock_ground(hole, particle, model, 3, DmrgConfig(m=2, total_pairs=2))
 
@@ -456,6 +505,29 @@ def test_memory_report_flags_violations():
     bad = dataclasses.replace(res, per_level_peak_entries=10**9)
     with pytest.raises(InvariantViolation):
         memory_report(bad)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10]),
+    m=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_random_runs_keep_their_guarantees(n, m, seed, data):
+    # every filling 0..N and every m >= 2: storage within the documented
+    # bound, N/2 iterations, dims <= m, weights in [0, 1], variational energy
+    model = random_model(np.random.default_rng(seed), n)
+    pairs = data.draw(st.integers(0, n), label="pairs")
+    result = run_infinite(model, DmrgConfig(m=m, total_pairs=pairs))
+    assert memory_report(result)["within_bound"] is True
+    assert len(result.iterations) == n // 2
+    for rec in result.iterations:
+        assert rec.dim_hole <= m and rec.dim_particle <= m
+        assert 0.0 <= rec.trunc_weight_hole <= 1.0
+        assert 0.0 <= rec.trunc_weight_particle <= 1.0
+    exact = dense_spectrum(model, enumerate_basis(n, pairs)).energies[0]
+    assert result.final_energy >= exact - 1e-9
 
 
 def test_history_csv_format():
