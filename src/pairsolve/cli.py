@@ -164,23 +164,24 @@ def cmd_build(args) -> int:
 # --- ed --------------------------------------------------------------------
 
 
+def _exact_diag(model, basis, args, method="auto", k=None):
+    """Dense spectrum (its k lowest energies, or all) up to the dense
+    threshold or with method "dense"; else the k lowest states (default 1)
+    by the iterative solver."""
+    if k is not None and not 1 <= k <= basis.dim:
+        raise SchemaError(f"--k must be in 1..{basis.dim}, got {k}")
+    if method == "dense" or (method == "auto" and basis.dim <= args.dense_threshold):
+        result = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
+        return dataclasses.replace(result, energies=result.energies[:k])
+    return iterative_ground(model, basis, k=k or 1, tol=args.tol, seed=args.seed)
+
+
 def cmd_ed(args) -> int:
     model = _load_model_file(args.model)
     start = time.perf_counter()
     try:
         basis = enumerate_basis(model.n_levels, args.pairs)
-        if args.method == "dense" or (
-            args.method == "auto" and basis.dim <= args.dense_threshold
-        ):
-            result = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
-            if args.k is not None:
-                result = dataclasses.replace(
-                    result, energies=result.energies[: args.k]
-                )
-        else:
-            result = iterative_ground(
-                model, basis, k=args.k or 1, tol=args.tol, seed=args.seed
-            )
+        result = _exact_diag(model, basis, args, args.method, args.k)
     except TooLarge:
         print(
             "hint: this sector is too large for the dense path; "
@@ -238,11 +239,7 @@ def cmd_dmrg(args) -> int:
 
 def cmd_compare(args) -> int:
     model = _load_model_file(args.model)
-    basis = enumerate_basis(model.n_levels, args.pairs)
-    if basis.dim <= args.dense_threshold:
-        ed = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
-    else:
-        ed = iterative_ground(model, basis, k=1, tol=args.tol, seed=args.seed)
+    ed = _exact_diag(model, enumerate_basis(model.n_levels, args.pairs), args)
     dm = _run_dmrg(model, args, args.m)
     e_ed = float(ed.energies[0])
     e_dm = float(dm.final_energy)

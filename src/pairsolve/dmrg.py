@@ -5,7 +5,9 @@ Both blocks grow outward one level per iteration (two on one side once the
 other side runs out of levels, which only happens away from half filling),
 the superblock ground state is found in a fixed total-pair sector, and each
 block is truncated to at most m states selected by its reduced density
-matrix.  A full run takes exactly N/2 iterations.
+matrix.  A run starts from two vacuum blocks and follows a fixed plan of
+exactly N/2 steps, each naming the levels every side gains and the pair
+target.
 
 Memory layout: a block stores its block Hamiltonian and, for each level
 in its kept basis, two explicit matrices (pair creation and number;
@@ -218,8 +220,10 @@ class DmrgConfig:
             raise InfeasibleTarget(
                 f"total_pairs must be nonnegative, got {self.total_pairs}"
             )
-        if not self.superblock_tol > 0:
-            raise InvariantViolation("superblock_tol must be positive")
+        if not 0 < self.superblock_tol < np.inf:
+            raise InvariantViolation("superblock_tol must be finite and positive")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.max_superblock_iters is not None and self.max_superblock_iters < 1:
             raise InvariantViolation("max_superblock_iters must be positive")
         if self.level_order not in ("eps_ascending", "given"):
@@ -244,54 +248,43 @@ def target_pairs(k: int, n_levels: int, total_pairs: int) -> int:
     return min(max(t, lo), hi)
 
 
-def _schedule(n_levels: int, total_pairs: int):
-    """Per-iteration block sizes (hole levels, particle levels).
+def _plan(model: PairingModel, config: DmrgConfig):
+    """One (new hole levels, new particle levels, target pairs) per iteration.
 
-    Symmetric growth while both sides have levels left; an exhausted side
-    hands both of the iteration's levels to the other block.  Sizes always
-    sum to 2k, so the run finishes in exactly N/2 iterations.
+    The hole side walks down from the Fermi index and the particle side
+    walks up, one level each per iteration; an exhausted side hands both
+    of the iteration's levels to the other block.  Exactly N/2 iterations.
     """
-    holes, parts = total_pairs, n_levels - total_pairs
-    out = []
-    for k in range(1, n_levels // 2 + 1):
-        h = max(min(k, holes), 2 * k - parts)
-        out.append((h, 2 * k - h))
-    return out
-
-
-def _ordered_levels(model: PairingModel, config: DmrgConfig):
-    """Growth sequences: hole side walks down from the Fermi index,
-    particle side walks up."""
+    n, f = model.n_levels, config.total_pairs
+    if n % 2:
+        raise OddN(f"the symmetric infinite algorithm needs even N, got {n}")
+    if f > n:
+        raise InfeasibleTarget(f"cannot place {f} pairs on {n} levels")
     if config.level_order == "eps_ascending":
-        order = np.argsort(model.eps, kind="stable")
+        order = [int(x) for x in np.argsort(model.eps, kind="stable")]
     else:
-        order = np.arange(model.n_levels)
-    f = config.total_pairs
-    hole_seq = [int(x) for x in order[:f][::-1]]
-    part_seq = [int(x) for x in order[f:]]
-    return hole_seq, part_seq
+        order = list(range(n))
+    holes, parts = order[:f][::-1], order[f:]
+    # levels in the hole and particle blocks after k iterations
+    ks = range(n // 2 + 1)
+    h = [max(min(k, f), 2 * k - (n - f)) for k in ks]
+    p = [2 * k - h[k] for k in ks]
+    return [
+        (holes[h[k - 1] : h[k]], parts[p[k - 1] : p[k]], target_pairs(k, n, f))
+        for k in ks[1:]
+    ]
 
 
 def init_blocks(model: PairingModel, config: DmrgConfig):
-    """Blocks for the first iteration.
+    """Blocks for the first iteration: the first plan step grown from the vacuum.
 
     With pairs on both sides of the Fermi index this is one level per
     block: the highest-eps hole level and the lowest-eps particle level,
     each dim 2.  At the filling extremes one side starts as the vacuum and
     the other with two levels.
     """
-    n = model.n_levels
-    if n % 2:
-        raise OddN(f"the symmetric infinite algorithm needs even N, got {n}")
-    if config.total_pairs > n:
-        raise InfeasibleTarget(
-            f"cannot place {config.total_pairs} pairs on {n} levels"
-        )
-    hole_seq, part_seq = _ordered_levels(model, config)
-    h1, p1 = _schedule(n, config.total_pairs)[0]
-    hole = GrownBlock(vacuum_block(), hole_seq[:h1], model)
-    particle = GrownBlock(vacuum_block(), part_seq[:p1], model)
-    return hole, particle
+    first = _plan(model, config)[0][:2]
+    return tuple(GrownBlock(vacuum_block(), levels, model) for levels in first)
 
 
 class _Superblock:
@@ -312,17 +305,16 @@ class _Superblock:
                 f"{self.dh}x{self.dp} superblock"
             )
         self.hh, self.hp = hole.h, particle.h
-        self.raise_terms = []
-        self.number_terms = []
-        if hole.levels and particle.levels:
-            ix = np.ix_(list(hole.levels), list(particle.levels))
-            self.raise_terms = self._factor(model.v1[ix], hole, particle, "weighted_raise")
-            self.number_terms = self._factor(
-                2.0 * model.v2[ix], hole, particle, "weighted_number"
-            )
+        ix = np.ix_(list(hole.levels), list(particle.levels))
+        self.raise_terms = self._factor(
+            model.v1[ix], hole.weighted_raise, particle.weighted_raise
+        )
+        self.number_terms = self._factor(
+            2.0 * model.v2[ix], hole.weighted_number, particle.weighted_number
+        )
 
     @staticmethod
-    def _factor(coupling, hole, particle, kind):
+    def _factor(coupling, hole_op, particle_op):
         if not np.any(coupling):
             return []
         u, s, vt = np.linalg.svd(coupling)
@@ -331,12 +323,7 @@ class _Superblock:
             if s[r] <= _SVD_CUT * s[0]:
                 break
             w = np.sqrt(s[r])
-            terms.append(
-                (
-                    getattr(hole, kind)(w * u[:, r]),
-                    getattr(particle, kind)(w * vt[r, :]),
-                )
-            )
+            terms.append((hole_op(w * u[:, r]), particle_op(w * vt[r, :])))
         return terms
 
     @property
@@ -349,9 +336,7 @@ class _Superblock:
         return comp + 3 * self.dh * self.dp + 22 * self.sector_dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.dh * self.dp)
-        psi[self.flat_idx] = x
-        psi = psi.reshape(self.dh, self.dp)
+        psi = self.embed(x)
         y = self.hh @ psi
         y += psi @ self.hp
         for a, c in self.raise_terms:
@@ -359,7 +344,7 @@ class _Superblock:
             y += a.T @ psi @ c.T
         for d, e in self.number_terms:
             y += d @ psi @ e
-        return y.ravel()[self.flat_idx]
+        return self.restrict(y)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         psi = np.zeros(self.dh * self.dp)
@@ -429,27 +414,24 @@ def _truncate_with_basis(block, rho: np.ndarray, m: int):
         raise DimensionMismatch(
             f"density matrix shape {rho.shape} does not match block dim {d}"
         )
-    sectors = block.sectors
-    lams, secs, vecs = [], [], []
-    for s in np.unique(sectors):
-        idx = np.flatnonzero(sectors == s)
-        sub = rho[np.ix_(idx, idx)]
-        vals, vs = scipy.linalg.eigh(sub)
-        for c in range(len(vals) - 1, -1, -1):
-            lams.append(float(vals[c]))
-            secs.append(int(s))
-            full = np.zeros(d)
-            full[idx] = vs[:, c]
-            vecs.append(full)
+    # eigenvectors by ascending sector, largest weight first within one
+    lams, secs, vecs = np.empty(d), np.empty(d, dtype=int), np.zeros((d, d))
+    col = 0
+    for s in np.unique(block.sectors):
+        idx = np.flatnonzero(block.sectors == s)
+        vals, vs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
+        cols = slice(col, col + len(idx))
+        lams[cols], secs[cols], vecs[idx, cols] = vals[::-1], s, vs[:, ::-1]
+        col += len(idx)
     # largest weight first; ties resolved by lower sector, then by the
     # deterministic enumeration order above
-    order = sorted(range(d), key=lambda i: (-lams[i], secs[i], i))
-    keep = order[: min(m, d)]
-    w = np.column_stack([vecs[i] for i in keep])
-    weight = min(max(1.0 - sum(lams[i] for i in keep), 0.0), 1.0)
+    keep = np.lexsort((np.arange(d), secs, -lams))[:m]
+    # a strided W changes the bits of the projections below
+    w = np.ascontiguousarray(vecs[:, keep])
+    weight = min(max(1.0 - sum(lams[keep].tolist()), 0.0), 1.0)
     new = Block(
         block.levels,
-        [secs[i] for i in keep],
+        secs[keep],
         w.T @ block.h @ w,
         [w.T @ block.raise_op(l) @ w for l in block.levels],
         [w.T @ block.number_op(l) @ w for l in block.levels],
@@ -506,40 +488,24 @@ class DmrgResult:
 def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     """Full infinite-algorithm run: N/2 grow/solve/truncate iterations.
 
-    The last iteration's superblock is the whole system in the physical
-    sector, so its E0 is the reported final energy.
+    Both blocks start as the vacuum and each iteration grows them by one
+    step of the plan.  The last iteration's superblock is the whole system
+    in the physical sector, so its E0 is the reported final energy.
     """
     start = time.perf_counter()
-    n = model.n_levels
-    hole, particle = init_blocks(model, config)
-    hole_seq, part_seq = _ordered_levels(model, config)
-    plan = _schedule(n, config.total_pairs)
+    hole = particle = vacuum_block()
     records = []
     peak_stored = peak_conventional = peak_work = 0
-    prev_psi = prev_target = None
-    w_hole = w_part = None
-    h_prev, p_prev = plan[0]
-    for k in range(1, n // 2 + 1):
-        h_k, p_k = plan[k - 1]
-        if h_k > h_prev:
-            hole = GrownBlock(hole, hole_seq[h_prev:h_k], model)
-        if p_k > p_prev:
-            particle = GrownBlock(particle, part_seq[p_prev:p_k], model)
-        target = target_pairs(k, n, config.total_pairs)
-        peak_stored = max(
-            peak_stored, hole.stored_entries() + particle.stored_entries()
-        )
-        peak_conventional = max(
-            peak_conventional, hole.per_level_entries() + particle.per_level_entries()
-        )
+    psi = w_hole = w_part = None
+    for k, (new_h, new_p, target) in enumerate(_plan(model, config), 1):
+        if new_h:
+            hole = GrownBlock(hole, new_h, model)
+        if new_p:
+            particle = GrownBlock(particle, new_p, model)
+        grown = _entries(hole, particle)
         guess = None
-        if (
-            prev_psi is not None
-            and h_k - h_prev == 1
-            and p_k - p_prev == 1
-            and 0 <= target - prev_target <= 2
-        ):
-            guess = _embed_guess(prev_psi, w_hole, w_part, target - prev_target)
+        if psi is not None and len(new_h) == len(new_p) == 1:
+            guess = _embed_guess(psi, w_hole, w_part, target - records[-1].target_pairs)
         try:
             e0, psi, solve_work = _solve_superblock(
                 hole, particle, model, target, config, guess
@@ -554,16 +520,13 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
         )
         hole, wh, w_hole = _truncate_with_basis(hole, rho_h, config.m)
         particle, wp, w_part = _truncate_with_basis(particle, rho_p, config.m)
-        peak_stored = max(
-            peak_stored, hole.stored_entries() + particle.stored_entries()
-        )
-        peak_conventional = max(
-            peak_conventional, hole.per_level_entries() + particle.per_level_entries()
-        )
+        for stored, per_level in (grown, _entries(hole, particle)):
+            peak_stored = max(peak_stored, stored)
+            peak_conventional = max(peak_conventional, per_level)
         records.append(
             IterationRecord(
                 iteration=k,
-                levels_in_superblock=h_k + p_k,
+                levels_in_superblock=len(hole.levels) + len(particle.levels),
                 target_pairs=target,
                 e0=e0,
                 trunc_weight_hole=wh,
@@ -572,8 +535,6 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
                 dim_particle=particle.dim,
             )
         )
-        prev_psi, prev_target = psi, target
-        h_prev, p_prev = h_k, p_k
     return DmrgResult(
         iterations=tuple(records),
         final_energy=records[-1].e0,
@@ -581,9 +542,17 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
         per_level_peak_entries=peak_conventional,
         work_peak_entries=peak_work,
         m=config.m,
-        n_levels=n,
+        n_levels=model.n_levels,
         total_pairs=config.total_pairs,
         wall_seconds=time.perf_counter() - start,
+    )
+
+
+def _entries(hole, particle):
+    """Stored and per-level matrix entries of the two blocks."""
+    return (
+        hole.stored_entries() + particle.stored_entries(),
+        hole.per_level_entries() + particle.per_level_entries(),
     )
 
 

@@ -209,8 +209,10 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
     """
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
-    if tol <= 0:
-        raise InvariantViolation(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise InvariantViolation(f"tol must be finite and positive, got {tol}")
+    if seed < 0:
+        raise InvariantViolation(f"seed must be nonnegative, got {seed}")
     if n <= _DENSE_FALLBACK_DIM or k > n - 2:
         h = np.empty((n, n))
         e = np.zeros(n)

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairsolve
 from pairsolve import build_reduced_bcs, enumerate_basis
 from pairsolve import cli
 from pairsolve.cli import main
@@ -210,6 +213,30 @@ def test_ed_too_large_prints_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "hint:" in err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ed", "--k", "0"],
+        ["ed", "--k", "-2"],
+        ["ed", "--k", "100"],
+        ["ed", "--k", "71", "--method", "iterative"],
+        ["ed", "--method", "iterative", "--tol", "nan"],
+        ["ed", "--method", "iterative", "--tol", "inf"],
+        ["ed", "--method", "iterative", "--seed", "-1"],
+        ["dmrg", "--m", "32", "--tol", "inf"],
+        ["dmrg", "--m", "32", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_solver_flags_exit_2(eight_path, tmp_path, capsys, argv):
+    # the 8-level sector at 4 pairs has dim 70
+    out = tmp_path / "x.json"
+    code = main([*argv, "--model", eight_path, "--pairs", "4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "eight.json"]
 
 
 def test_ed_pairs_beyond_levels(toy_path, tmp_path, capsys):
@@ -472,6 +499,8 @@ def test_module_entry_point(toy_path, tmp_path):
         ],
         capture_output=True,
         text=True,
+        # the package the tests import, installed or not
+        env={**os.environ, "PYTHONPATH": str(Path(pairsolve.__file__).parents[1])},
     )
     assert proc.returncode == 0, proc.stderr
     assert "ground energy" in proc.stdout

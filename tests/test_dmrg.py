@@ -31,7 +31,7 @@ from pairsolve import (
     target_pairs,
     truncate,
 )
-from pairsolve.dmrg import DimensionMismatch, vacuum_block
+from pairsolve.dmrg import DimensionMismatch, _plan, vacuum_block
 from pairsolve.errors import PairsolveError
 
 
@@ -221,8 +221,11 @@ def test_config_validation():
         DmrgConfig(m=1, total_pairs=2)
     with pytest.raises(InfeasibleTarget):
         DmrgConfig(m=4, total_pairs=-1)
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(InvariantViolation):
+            DmrgConfig(m=4, total_pairs=2, superblock_tol=tol)
     with pytest.raises(InvariantViolation):
-        DmrgConfig(m=4, total_pairs=2, superblock_tol=0.0)
+        DmrgConfig(m=4, total_pairs=2, seed=-1)
     with pytest.raises(InvariantViolation):
         DmrgConfig(m=4, total_pairs=2, max_superblock_iters=0)
     with pytest.raises(InvariantViolation):
@@ -263,6 +266,28 @@ def test_init_blocks_rejects_bad_sizes():
         init_blocks(model, DmrgConfig(m=4, total_pairs=1))
     with pytest.raises(InfeasibleTarget):
         init_blocks(toy_model(), DmrgConfig(m=4, total_pairs=5))
+
+
+def test_plan_invariants():
+    rng = np.random.default_rng(7)
+    for n in range(2, 17, 2):
+        eps = rng.permutation(n).astype(float)
+        model = PairingModel(eps=eps, v1=np.zeros((n, n)), v2=np.zeros((n, n)))
+        order = list(np.argsort(eps))
+        for pairs in range(n + 1):
+            plan = _plan(model, DmrgConfig(m=4, total_pairs=pairs))
+            assert len(plan) == n // 2
+            holes = [l for new_h, _, _ in plan for l in new_h]
+            parts = [l for _, new_p, _ in plan for l in new_p]
+            assert sorted(holes + parts) == list(range(n))
+            assert holes == order[:pairs][::-1]  # down from the Fermi index
+            assert parts == order[pairs:]  # up from it
+            for k, (new_h, new_p, target) in enumerate(plan, 1):
+                assert len(new_h) + len(new_p) == 2
+                assert target == target_pairs(k, n, pairs)
+                if k > 1 and len(new_h) == len(new_p) == 1:
+                    # the warm start embeds increments 0, 1 and 2 only
+                    assert 0 <= target - plan[k - 2][2] <= 2
 
 
 def test_superblock_two_level_closed_form():

@@ -278,8 +278,15 @@ def test_iterative_argument_validation():
         iterative_ground(model, basis, k=0)
     with pytest.raises(InvariantViolation):
         iterative_ground(model, basis, k=7)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(InvariantViolation):
+            iterative_ground(model, basis, tol=tol)
+        with pytest.raises(InvariantViolation):
+            lowest_eigenpairs(lambda x: x, 100, tol=tol)
     with pytest.raises(InvariantViolation):
-        iterative_ground(model, basis, tol=0.0)
+        iterative_ground(model, basis, seed=-1)
+    with pytest.raises(InvariantViolation):
+        lowest_eigenpairs(lambda x: x, 100, tol=1e-10, seed=-1)
 
 
 def test_iterative_reports_non_convergence():
