@@ -5,19 +5,16 @@ additionally suppresses generation times (and zeroes wall-clock fields) so
 output files are byte-identical across runs.  Each output file gets a
 sibling <out>.manifest.json recording the command, inputs and seeds.
 
-Exit codes: 0 success, 2 validation failure (including a broken DMRG
-storage bound), 3 problem too large or out of memory, 4 unsupported shape
-(odd N, infeasible pair target, empty sector), 5 solver failure (including
-a linear-algebra error).
+Exit codes: 0 success, 2 validation failure, 3 problem too large or out of
+memory, 4 unsupported shape, 5 solver failure.  errors.py gives each
+PairsolveError class its code; main maps the numpy and builtin errors.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -25,23 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import enumerate_basis, sector_dimension
+from .basis import enumerate_basis
 from .dmrg import DmrgConfig, history_csv, memory_report, run_infinite, summary_dict
-from .errors import (
-    DegenerateEta,
-    DimensionMismatch,
-    EmptySector,
-    InfeasibleTarget,
-    InvariantViolation,
-    NoConvergence,
-    NotNormalized,
-    OddN,
-    PatternMismatch,
-    SchemaError,
-    SingularKernel,
-    TooLarge,
-)
-from .exactdiag import DENSE_THRESHOLD, dense_spectrum, iterative_ground
+from .errors import NoConvergence, PairsolveError, SchemaError, TooLarge
+from .exactdiag import DENSE_THRESHOLD, check_solver_args, dense_spectrum, iterative_ground
 from .model import (
     FamilyKind,
     IntegrableSpec,
@@ -52,26 +36,6 @@ from .model import (
     param_count,
     save_model,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """What a command ran with: inputs, resolved flags, output target."""
-
-    command: str
-    model_path: str
-    overrides: dict
-    output_path: str
-    format: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "model_path": self.model_path,
-            "overrides": self.overrides,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
 
 
 def _timestamp() -> str:
@@ -85,26 +49,28 @@ def _write_json(path: str, payload: dict, no_timestamp: bool):
 
 
 def _write_manifest(args, out_path: str, fmt: str):
+    """Record what a command ran with: inputs, resolved flags, output target."""
     skip = {"func", "model", "input", "out", "history", "format", "no_timestamp"}
-    overrides = {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None
+    manifest = {
+        "command": args.func.__name__.removeprefix("cmd_"),
+        "model_path": getattr(args, "model", None) or getattr(args, "input", None) or "",
+        "overrides": {
+            k: v for k, v in vars(args).items() if k not in skip and v is not None
+        },
+        "output_path": out_path,
+        "format": fmt,
     }
-    manifest = RunManifest(
-        command=args.func.__name__.removeprefix("cmd_"),
-        model_path=getattr(args, "model", None) or getattr(args, "input", None) or "",
-        overrides=overrides,
-        output_path=out_path,
-        format=fmt,
-    )
-    _write_json(out_path + ".manifest.json", manifest.to_json_dict(), args.no_timestamp)
+    _write_json(out_path + ".manifest.json", manifest, args.no_timestamp)
 
 
-def _load_model_file(path: str) -> PairingModel:
-    text = Path(path).read_text()
-    parsed = load_model(text)
+def _expand(parsed) -> PairingModel:
     if isinstance(parsed, IntegrableSpec):
         return build_integrable(parsed)
     return parsed
+
+
+def _load_model_file(path: str) -> PairingModel:
+    return _expand(load_model(Path(path).read_text()))
 
 
 def _csv_floats(text: str):
@@ -115,35 +81,38 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _rel_error(diff: float, ref: float) -> float:
+    """``diff / |ref|``; 0 when ``diff`` is 0, else inf when ``ref`` is 0."""
+    if diff == 0.0:
+        return 0.0
+    if ref != 0.0:
+        return diff / abs(ref)
+    return math.inf
+
+
 # --- build -----------------------------------------------------------------
 
 
 def cmd_build(args) -> int:
-    single_family = False
     if args.input:
         parsed = load_model(Path(args.input).read_text())
-        if isinstance(parsed, IntegrableSpec):
-            single_family = True
-            model = build_integrable(parsed)
-        else:
-            model = parsed
     elif args.family:
         if args.g is None or args.epsilon is None or args.eta is None:
             raise SchemaError("--family needs --g, --epsilon and --eta")
-        spec = IntegrableSpec(
+        parsed = IntegrableSpec(
             g=args.g,
             epsilon=np.array(_csv_floats(args.epsilon)),
             eta=np.array(_csv_floats(args.eta)),
             family=FamilyKind(args.family),
         )
-        single_family = True
-        model = build_integrable(spec)
     elif args.bcs_g is not None:
         if args.epsilon is None:
             raise SchemaError("--bcs-g needs --epsilon")
-        model = build_reduced_bcs(_csv_floats(args.epsilon), args.bcs_g)
+        parsed = build_reduced_bcs(_csv_floats(args.epsilon), args.bcs_g)
     else:
         raise SchemaError("give --input, or --family flags, or --bcs-g")
+    single_family = isinstance(parsed, IntegrableSpec)
+    model = _expand(parsed)
     n = model.n_levels
     print(f"levels: {n}")
     print(f"free parameters (general): {param_count('general', n)}")
@@ -170,6 +139,7 @@ def _exact_diag(model, basis, args, method="auto", k=None):
     by the iterative solver."""
     if k is not None and not 1 <= k <= basis.dim:
         raise SchemaError(f"--k must be in 1..{basis.dim}, got {k}")
+    check_solver_args(args.tol, args.seed)
     if method == "dense" or (method == "auto" and basis.dim <= args.dense_threshold):
         result = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
         return dataclasses.replace(result, energies=result.energies[:k])
@@ -244,12 +214,7 @@ def cmd_compare(args) -> int:
     e_ed = float(ed.energies[0])
     e_dm = float(dm.final_energy)
     abs_err = abs(e_dm - e_ed)
-    if abs_err == 0.0:
-        rel_err = 0.0
-    elif e_ed != 0.0:
-        rel_err = abs_err / abs(e_ed)
-    else:
-        rel_err = math.inf
+    rel_err = _rel_error(abs_err, e_ed)
     # floor(-log10(rel)) capped: 16 significant figures is the practical
     # agreement ceiling in double precision
     sig_figs = 16 if rel_err == 0.0 else max(0, min(16, math.floor(-math.log10(rel_err))))
@@ -284,51 +249,20 @@ def cmd_compare(args) -> int:
 # --- sweep -----------------------------------------------------------------
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("PAIRSOLVE_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise SchemaError(f"PAIRSOLVE_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise SchemaError(f"PAIRSOLVE_THREADS must be positive, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _sweep_point(model, args, m):
-    result = _run_dmrg(model, args, m)
-    worst = max(
-        (max(r.trunc_weight_hole, r.trunc_weight_particle) for r in result.iterations),
-        default=0.0,
-    )
-    return result, worst
-
-
 def cmd_sweep(args) -> int:
     model = _load_model_file(args.model)
     ms = [int(x) for x in args.m_list.split(",")]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise SchemaError(f"--m-list must be strictly ascending, got {args.m_list}")
-    workers = _worker_count(len(ms))
-    if workers > 1 and len(ms) > 1:
-        # separate processes: the ARPACK core is not reentrant
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point_pickled, [(model, args, m) for m in ms]))
-    else:
-        points = [_sweep_point(model, args, m) for m in ms]
-    e_best = points[-1][0].final_energy
+    results = [_run_dmrg(model, args, m) for m in ms]
+    e_best = results[-1].final_energy
     rows = []
-    for (result, worst), m in zip(points, ms):
+    for result, m in zip(results, ms):
         diff = abs(result.final_energy - e_best)
-        if diff == 0.0:
-            conv = 0.0
-        elif e_best != 0.0:
-            conv = diff / abs(e_best)
-        else:
-            conv = math.inf
+        worst = max(
+            (max(r.trunc_weight_hole, r.trunc_weight_particle) for r in result.iterations),
+            default=0.0,
+        )
         rows.append(
             {
                 "m": m,
@@ -337,7 +271,7 @@ def cmd_sweep(args) -> int:
                 "trunc_weight": worst,
                 "wall_seconds": result.wall_seconds,
                 "peak_memory_entries": result.memory_peak_entries,
-                "self_convergence": conv,
+                "self_convergence": _rel_error(diff, e_best),
             }
         )
     if args.format == "json":
@@ -360,15 +294,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_point_pickled(job):
-    return _sweep_point(*job)
-
-
 # --- parser ----------------------------------------------------------------
 
 
-def _add_common(p, model_required=True):
-    p.add_argument("--model", required=model_required, help="model JSON file")
+def _add_common(p):
+    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--pairs", type=int, required=True, help="total pair number M")
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--seed", type=int, default=0)
@@ -437,41 +367,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except PairsolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NoConvergence):
+            if exc.energies is None:
+                print("best energies: none settled", file=sys.stderr)
+            else:
+                best = ", ".join(repr(float(e)) for e in exc.energies)
+                print(f"best energies: {best}", file=sys.stderr)
+                print(f"residual: {exc.residual!r}", file=sys.stderr)
+        return exc.exit_code
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         print("best energies: none settled", file=sys.stderr)
         return 5
-    except (
-        SchemaError,
-        InvariantViolation,
-        DegenerateEta,
-        SingularKernel,
-        PatternMismatch,
-        DimensionMismatch,
-        NotNormalized,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 3
-    except (OddN, InfeasibleTarget, EmptySector) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.energies is None:
-            print("best energies: none settled", file=sys.stderr)
-        else:
-            best = ", ".join(repr(float(e)) for e in exc.energies)
-            print(f"best energies: {best}", file=sys.stderr)
-            print(f"residual: {exc.residual!r}", file=sys.stderr)
-        return 5
 
 
 def entry_point():

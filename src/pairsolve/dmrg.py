@@ -39,7 +39,7 @@ from .errors import (
     NotNormalized,
     OddN,
 )
-from .exactdiag import lowest_eigenpairs
+from .exactdiag import check_solver_args, lowest_eigenpairs
 from .model import PairingModel
 
 _SITE_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -220,10 +220,7 @@ class DmrgConfig:
             raise InfeasibleTarget(
                 f"total_pairs must be nonnegative, got {self.total_pairs}"
             )
-        if not 0 < self.superblock_tol < np.inf:
-            raise InvariantViolation("superblock_tol must be finite and positive")
-        if self.seed < 0:
-            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
+        check_solver_args(self.superblock_tol, self.seed)
         if self.max_superblock_iters is not None and self.max_superblock_iters < 1:
             raise InvariantViolation("max_superblock_iters must be positive")
         if self.level_order not in ("eps_ascending", "given"):

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all pairsolve modules."""
+"""Exception hierarchy shared by all pairsolve modules.
+
+Each class carries the command-line exit code for its failures in
+``exit_code``: 2 validation failure, 3 problem too large, 4 unsupported
+shape, 5 solver failure.
+"""
 
 
 class PairsolveError(Exception):
     """Base class for all errors raised by pairsolve."""
+
+    exit_code = 2
 
 
 class DegenerateEta(PairsolveError):
@@ -27,6 +34,8 @@ class InvariantViolation(PairsolveError):
 class TooLarge(PairsolveError):
     """Requested object exceeds the configured size budget."""
 
+    exit_code = 3
+
 
 class PatternMismatch(PairsolveError):
     """Two occupation patterns have different pair counts."""
@@ -42,6 +51,8 @@ class NoConvergence(PairsolveError):
     Carries the best available estimates in ``energies`` and ``residual``.
     """
 
+    exit_code = 5
+
     def __init__(self, message, energies=None, residual=None):
         super().__init__(message)
         self.energies = energies
@@ -51,13 +62,19 @@ class NoConvergence(PairsolveError):
 class OddN(PairsolveError):
     """The symmetric infinite algorithm requires an even number of levels."""
 
+    exit_code = 4
+
 
 class InfeasibleTarget(PairsolveError):
     """Requested pair number cannot be realized on the given levels."""
 
+    exit_code = 4
+
 
 class EmptySector(PairsolveError):
     """No superblock product state carries the targeted total pair number."""
+
+    exit_code = 4
 
 
 class NotNormalized(PairsolveError):

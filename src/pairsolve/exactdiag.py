@@ -197,6 +197,15 @@ def _ascending(energies, vectors):
     return energies[order], vectors[:, order]
 
 
+def check_solver_args(tol: float, seed: int):
+    """Reject a tolerance that is not finite and positive, or a negative
+    seed, with InvariantViolation."""
+    if not 0 < tol < np.inf:
+        raise InvariantViolation(f"tol must be finite and positive, got {tol}")
+    if seed < 0:
+        raise InvariantViolation(f"seed must be nonnegative, got {seed}")
+
+
 def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
@@ -209,10 +218,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
     """
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
-    if not 0 < tol < np.inf:
-        raise InvariantViolation(f"tol must be finite and positive, got {tol}")
-    if seed < 0:
-        raise InvariantViolation(f"seed must be nonnegative, got {seed}")
+    check_solver_args(tol, seed)
     if n <= _DENSE_FALLBACK_DIM or k > n - 2:
         h = np.empty((n, n))
         e = np.zeros(n)

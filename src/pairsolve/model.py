@@ -30,6 +30,16 @@ class FamilyKind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
+def _check_kernel(family: FamilyKind, d_eta: float):
+    """Raise DegenerateEta, or SingularKernel where sin(d_eta) vanishes."""
+    if abs(d_eta) <= ETA_TOL:
+        raise DegenerateEta(f"|d_eta| = {abs(d_eta):.3e} <= {ETA_TOL:.0e}")
+    if family is FamilyKind.TRIGONOMETRIC:
+        s = math.sin(d_eta)
+        if abs(s) <= ETA_TOL:
+            raise SingularKernel(f"|sin(d_eta)| = {abs(s):.3e} <= {ETA_TOL:.0e}")
+
+
 def cot_kernel(family: FamilyKind, d_eps: float, d_eta: float) -> float:
     """Cotangent-type coupling kernel of the solvable families.
 
@@ -37,15 +47,11 @@ def cot_kernel(family: FamilyKind, d_eps: float, d_eta: float) -> float:
     (trigonometric) or ``d_eps*coth(d_eta)`` (hyperbolic).  The result is
     even under a simultaneous sign flip of both arguments.
     """
-    if abs(d_eta) <= ETA_TOL:
-        raise DegenerateEta(f"|d_eta| = {abs(d_eta):.3e} <= {ETA_TOL:.0e}")
+    _check_kernel(family, d_eta)
     if family is FamilyKind.RATIONAL:
         return d_eps / d_eta
     if family is FamilyKind.TRIGONOMETRIC:
-        s = math.sin(d_eta)
-        if abs(s) <= ETA_TOL:
-            raise SingularKernel(f"|sin(d_eta)| = {abs(s):.3e} <= {ETA_TOL:.0e}")
-        return d_eps * math.cos(d_eta) / s
+        return d_eps * math.cos(d_eta) / math.sin(d_eta)
     return d_eps / math.tanh(d_eta)
 
 
@@ -56,15 +62,11 @@ def sin_kernel(family: FamilyKind, d_eps: float, d_eta: float) -> float:
     (trigonometric) or ``d_eps/sinh(d_eta)`` (hyperbolic).  Even under a
     simultaneous sign flip of both arguments.
     """
-    if abs(d_eta) <= ETA_TOL:
-        raise DegenerateEta(f"|d_eta| = {abs(d_eta):.3e} <= {ETA_TOL:.0e}")
+    _check_kernel(family, d_eta)
     if family is FamilyKind.RATIONAL:
         return d_eps / d_eta
     if family is FamilyKind.TRIGONOMETRIC:
-        s = math.sin(d_eta)
-        if abs(s) <= ETA_TOL:
-            raise SingularKernel(f"|sin(d_eta)| = {abs(s):.3e} <= {ETA_TOL:.0e}")
-        return d_eps / s
+        return d_eps / math.sin(d_eta)
     return d_eps / math.sinh(d_eta)
 
 

@@ -9,7 +9,23 @@ import numpy as np
 import pytest
 
 import pairsolve
-from pairsolve import build_reduced_bcs, enumerate_basis
+from pairsolve import (
+    DegenerateEta,
+    DimensionMismatch,
+    EmptySector,
+    InfeasibleTarget,
+    InvariantViolation,
+    NoConvergence,
+    NotNormalized,
+    OddN,
+    PairsolveError,
+    PatternMismatch,
+    SchemaError,
+    SingularKernel,
+    TooLarge,
+    build_reduced_bcs,
+    enumerate_basis,
+)
 from pairsolve import cli
 from pairsolve.cli import main
 
@@ -225,6 +241,8 @@ def test_ed_too_large_prints_hint(tmp_path, capsys):
         ["ed", "--method", "iterative", "--tol", "nan"],
         ["ed", "--method", "iterative", "--tol", "inf"],
         ["ed", "--method", "iterative", "--seed", "-1"],
+        ["ed", "--tol", "nan"],
+        ["ed", "--seed", "-1"],
         ["dmrg", "--m", "32", "--tol", "inf"],
         ["dmrg", "--m", "32", "--seed", "-1"],
     ],
@@ -335,7 +353,6 @@ def test_dmrg_storage_violation_exits_2(
         return dataclasses.replace(real(model, config), per_level_peak_entries=10**9)
 
     monkeypatch.setattr(cli, "run_infinite", oversized)
-    monkeypatch.setenv("PAIRSOLVE_THREADS", "1")
     out = tmp_path / "x.out"
     code = main(
         [command, "--model", toy_path, "--pairs", "2", *m_flag, "--out", str(out)]
@@ -345,10 +362,35 @@ def test_dmrg_storage_violation_exits_2(
     assert list(tmp_path.iterdir()) == [tmp_path / "toy.json"]
 
 
-@pytest.mark.parametrize(
-    "exc, code",
-    [(np.linalg.LinAlgError("eigh did not converge"), 5), (MemoryError(), 3)],
-)
+# the exit codes the README documents, by failure
+EXIT_CODES = [
+    (np.linalg.LinAlgError("eigh did not converge"), 5),
+    (MemoryError(), 3),
+    (PairsolveError("base"), 2),
+    (SchemaError("schema"), 2),
+    (InvariantViolation("invariant"), 2),
+    (DegenerateEta("eta"), 2),
+    (SingularKernel("kernel"), 2),
+    (PatternMismatch("pattern"), 2),
+    (DimensionMismatch("dimension"), 2),
+    (NotNormalized("norm"), 2),
+    (FileNotFoundError("no such file"), 2),
+    (ValueError("bad value"), 2),
+    (TooLarge("too large"), 3),
+    (OddN("odd"), 4),
+    (InfeasibleTarget("infeasible"), 4),
+    (EmptySector("empty"), 4),
+    (NoConvergence("unsettled"), 5),
+    (NoConvergence("settled", energies=np.array([-1.5, 0.25]), residual=1e-3), 5),
+]
+
+
+def test_exit_code_table_covers_every_error_class():
+    covered = {type(exc) for exc, _ in EXIT_CODES}
+    assert set(PairsolveError.__subclasses__()) <= covered
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES)
 def test_solver_errors_map_to_exit_codes(
     toy_path, tmp_path, monkeypatch, capsys, exc, code
 ):
@@ -361,9 +403,13 @@ def test_solver_errors_map_to_exit_codes(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if code == 5:
-        assert "best energies: none settled" in err
-    assert not out.exists()
+    if getattr(exc, "energies", None) is not None:
+        assert err.endswith("best energies: -1.5, 0.25\nresidual: 0.001\n")
+    elif code == 5:
+        assert err.endswith("\nbest energies: none settled\n")
+    else:
+        assert "best energies" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "toy.json"]
 
 
 def test_compare_json(toy_path, tmp_path, capsys):
@@ -406,8 +452,7 @@ def test_compare_csv(toy_path, tmp_path):
     assert lines[1].split(",")[0] == "4"
 
 
-def test_sweep_csv(toy_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("PAIRSOLVE_THREADS", "1")
+def test_sweep_csv(toy_path, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
         [
@@ -432,8 +477,7 @@ def test_sweep_csv(toy_path, tmp_path, monkeypatch):
     assert float(last[6]) == 0.0
 
 
-def test_sweep_json_format(toy_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("PAIRSOLVE_THREADS", "1")
+def test_sweep_json_format(toy_path, tmp_path):
     out = tmp_path / "sweep.json"
     code = main(
         [
@@ -461,33 +505,36 @@ def test_sweep_rejects_non_ascending(toy_path, tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_worker_env(toy_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PAIRSOLVE_THREADS", "many")
-    code = main(
-        ["sweep", "--model", toy_path, "--pairs", "2", "--m-list", "2,4", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 2
-    assert "PAIRSOLVE_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "trigonometric", "--g", "0.1", "--epsilon=-0.1,0.9",
+         "--eta", "0.3,1.0853981633974483", "--out", "out.json"],
+        ["ed", "--model", "MODEL", "--pairs", "2", "--out", "out.json"],
+        ["dmrg", "--model", "MODEL", "--pairs", "2", "--m", "8", "--out", "out.json"],
+        ["compare", "--model", "MODEL", "--pairs", "2", "--m", "4", "--out", "out.json"],
+        ["compare", "--model", "MODEL", "--pairs", "2", "--m", "4", "--format", "csv",
+         "--out", "out.csv"],
+        ["sweep", "--model", "MODEL", "--pairs", "2", "--m-list", "2,4", "--out", "out.csv"],
+        ["sweep", "--model", "MODEL", "--pairs", "2", "--m-list", "2,4", "--format", "json",
+         "--out", "out.json"],
+    ],
+    ids=["build", "ed", "dmrg", "compare-json", "compare-csv", "sweep-csv", "sweep-json"],
+)
+def test_outputs_are_byte_identical_across_runs(toy_path, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [toy_path if a == "MODEL" else a for a in argv]
 
+    def outputs():
+        assert main([*argv, "--no-timestamp"]) == 0
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "toy.json"}
 
-def test_outputs_are_byte_identical_across_runs(toy_path, tmp_path):
-    out = tmp_path / "run.json"
-    argv = [
-        "dmrg",
-        "--model", toy_path,
-        "--pairs", "2",
-        "--m", "8",
-        "--out", str(out),
-        "--no-timestamp",
-    ]
-    assert main(argv) == 0
-    first = out.read_bytes()
-    first_hist = (tmp_path / "run.history.csv").read_bytes()
-    first_manifest = (tmp_path / "run.json.manifest.json").read_bytes()
-    assert main(argv) == 0
-    assert out.read_bytes() == first
-    assert (tmp_path / "run.history.csv").read_bytes() == first_hist
-    assert (tmp_path / "run.json.manifest.json").read_bytes() == first_manifest
+    first = outputs()
+    out = argv[argv.index("--out") + 1]
+    assert {out, out + ".manifest.json"} <= set(first)
+    if argv[0] == "dmrg":
+        assert "out.history.csv" in first
+    assert outputs() == first
 
 
 def test_module_entry_point(toy_path, tmp_path):
