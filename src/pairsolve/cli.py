@@ -251,7 +251,12 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = _load_model_file(args.model)
-    ms = [int(x) for x in args.m_list.split(",")]
+    ms = []
+    for x in args.m_list.split(","):
+        try:
+            ms.append(int(x))
+        except ValueError:
+            raise SchemaError(f"--m-list must be comma-separated integers, got {x!r}") from None
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise SchemaError(f"--m-list must be strictly ascending, got {args.m_list}")
     results = [_run_dmrg(model, args, m) for m in ms]

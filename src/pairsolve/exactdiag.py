@@ -1,12 +1,14 @@
 """Exact spectra in the seniority-zero pair sector.
 
-Provides a matrix-free Hamiltonian action over a PairBasis, a dense
+Provides a matrix-free Hamiltonian action over a PairBasis (one scatter,
+one small dense product and one gather per application), a dense
 full-spectrum solver for small sectors (the verification oracle), an
 iterative ground-state solver for large ones, and lowest_eigenpairs, the
 eigensolver entry point that the DMRG superblock solve shares.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,11 +32,11 @@ DENSE_THRESHOLD = 4000
 #: lowest_eigenpairs diagonalizes operators up to this size densely.
 _DENSE_FALLBACK_DIM = 64
 
-#: Hop index tables are precomputed while their total entry count stays
-#: under this; beyond it they are regenerated on every application.
-_HOP_CACHE_BUDGET = 1 << 25
+#: States per step when the diagonal and slot table are built.
+_CHUNK = 1 << 16
 
-_DIAG_CHUNK = 1 << 16
+#: Buffer columns per in-place product and states per gather in apply.
+_BLOCK = 1 << 11
 
 
 def matrix_element(model: PairingModel, s: int, t: int) -> float:
@@ -63,11 +65,16 @@ def matrix_element(model: PairingModel, s: int, t: int) -> float:
 
 
 class HamiltonianAction:
-    """Cached matrix-free action of one model on one sector.
+    """Matrix-free action of one model on one sector.
 
-    The diagonal is computed once.  For every unordered level pair with a
-    nonzero hop coupling, the source/destination ordinal tables of the pair
-    move are either precomputed (small sectors) or regenerated per call.
+    A pair hop empties one level and fills another, so the hop sum is
+    ``B^T (v1 (x) 1) B`` with B clearing one level: a pair, into the
+    sector with one pair fewer, or above half filling a hole, into the
+    smaller sector with one pair more.  With ``d`` that sector's size, a
+    ``(dim, min(M, N-M))`` table holds each state's slots ``level * d +
+    colex rank of the neighbour``.  ``apply`` scatters x into one ``N x d``
+    buffer, multiplies it by v1 in place and sums each state's slots back,
+    so it is not reentrant.  M = 0 and M = N keep the diagonal only.
     """
 
     def __init__(self, model: PairingModel, basis: PairBasis):
@@ -77,50 +84,30 @@ class HamiltonianAction:
             )
         self.model = model
         self.basis = basis
-        self.diagonal = self._build_diagonal()
-        self._pairs = [
-            (i, j, float(model.v1[i, j]))
-            for i in range(model.n_levels)
-            for j in range(i + 1, model.n_levels)
-            if model.v1[i, j] != 0.0
-        ]
-        import math
-
-        per_pair = math.comb(
-            max(basis.n_levels - 2, 0), max(basis.n_pairs - 1, 0)
-        ) if 1 <= basis.n_pairs <= basis.n_levels - 1 else 0
-        self._cache = None
-        if len(self._pairs) * per_pair <= _HOP_CACHE_BUDGET:
-            self._cache = [
-                (c,) + self._hops(i, j) for i, j, c in self._pairs
-            ]
-
-    def _build_diagonal(self) -> np.ndarray:
-        eps, v2 = self.model.eps, self.model.v2
-        patterns = self.basis.patterns
-        bits = np.arange(self.basis.n_levels, dtype=np.int64)
-        diag = np.empty(len(patterns))
-        for lo in range(0, len(patterns), _DIAG_CHUNK):
-            chunk = patterns[lo : lo + _DIAG_CHUNK]
-            occ = ((chunk[:, None] >> bits[None, :]) & 1).astype(float)
-            part = occ @ v2
-            diag[lo : lo + _DIAG_CHUNK] = 2.0 * occ @ eps + 4.0 * np.einsum(
-                "ai,ai->a", part, occ
+        n, m, dim = basis.n_levels, basis.n_pairs, basis.dim
+        width = min(m, n - m)
+        other = math.comb(n, width - 1) if width else 0
+        binom = np.array([[math.comb(p, c) for c in range(width + 1)] for p in range(n)])
+        k = np.arange(width)
+        bits = np.arange(n, dtype=np.int64)
+        self.diagonal = np.empty(dim)
+        slots = np.empty((dim, width), dtype=np.int64)
+        for lo in range(0, dim, _CHUNK):
+            occ = (basis.patterns[lo : lo + _CHUNK, None] >> bits) & 1
+            f = occ.astype(float)
+            self.diagonal[lo : lo + _CHUNK] = 2.0 * f @ model.eps + 4.0 * np.einsum(
+                "ai,ai->a", f @ model.v2, f
             )
-        return diag
-
-    def _hops(self, i: int, j: int):
-        """Ordinal tables of the pair move between levels i and j.
-
-        src holds states with level j occupied and level i empty; dst holds
-        the same states with the pair moved, a bijection within the sector.
-        """
-        patterns = self.basis.patterns
-        mask = ((patterns >> j) & 1 == 1) & ((patterns >> i) & 1 == 0)
-        src = np.nonzero(mask)[0]
-        moved = patterns[src] ^ ((1 << i) | (1 << j))
-        dst = np.searchsorted(patterns, moved)
-        return src, dst
+            # B clears one of the levels p_0 < p_1 < ... (set levels, or
+            # empty ones above half filling); clearing p_k leaves the colex
+            # rank sum_{i<k} C(p_i, i + 1) + sum_{i>k} C(p_i, i)
+            pos = (np.flatnonzero(occ if m == width else 1 - occ) % n).reshape(len(occ), width)
+            kept, moved = binom[pos, k + 1], binom[pos, k]
+            rank = np.cumsum(kept, axis=1) - kept
+            rank += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
+            slots[lo : lo + _CHUNK] = pos * other + rank
+        self._slots = slots if width else None
+        self._buffer = np.empty((n, other)) if width else None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = H x without materializing H; fixed summation order."""
@@ -131,25 +118,36 @@ class HamiltonianAction:
                 f"{self.basis.dim}"
             )
         y = self.diagonal * x
-        tables = self._cache
-        if tables is None:
-            tables = ((c,) + self._hops(i, j) for i, j, c in self._pairs)
-        for c, src, dst in tables:
-            # dst ordinals are distinct for a fixed level pair, so fancy
-            # indexing accumulates safely
-            y[dst] += c * x[src]
-            y[src] += c * x[dst]
+        if self._slots is None:
+            return y
+        z = self._buffer
+        flat = z.reshape(-1)
+        # slots that no state fills must read as zero in the product
+        z.fill(0.0)
+        flat[self._slots] = x[:, None]
+        for lo in range(0, z.shape[1], _BLOCK):
+            z[:, lo : lo + _BLOCK] = self.model.v1 @ z[:, lo : lo + _BLOCK]
+        for lo in range(0, len(y), _BLOCK):
+            y[lo : lo + _BLOCK] += flat[self._slots[lo : lo + _BLOCK]].sum(axis=1)
         return y
 
     def dense_matrix(self) -> np.ndarray:
-        """Explicit symmetric matrix; intended for small sectors only."""
+        """Explicit symmetric matrix; intended for small sectors only.
+
+        Each off-diagonal entry receives exactly one v1 value.
+        """
         dim = self.basis.dim
         h = np.zeros((dim, dim))
+        if self._slots is not None:
+            owner = np.full(self._buffer.size, -1)
+            owner[self._slots] = np.arange(dim)[:, None]
+            level, rank = np.divmod(self._slots, self._buffer.shape[1])
+            # target[j, s, k]: the state whose level-j slot holds the same
+            # neighbour pattern as state s's k-th slot, or -1
+            target = owner.reshape(self._buffer.shape)[:, rank]
+            j, s, k = np.nonzero(target >= 0)
+            h[s, target[j, s, k]] += self.model.v1[level[s, k], j]
         h[np.arange(dim), np.arange(dim)] = self.diagonal
-        for i, j, c in self._pairs:
-            src, dst = self._hops(i, j)
-            h[dst, src] += c
-            h[src, dst] += c
         return h
 
 

@@ -231,29 +231,31 @@ def test_ed_too_large_prints_hint(tmp_path, capsys):
     assert "error:" in err
 
 
+BAD_FLAGS = [
+    (["ed", "--k", "0"], "--k must be in 1..70, got 0"),
+    (["ed", "--k", "-2"], "--k must be in 1..70, got -2"),
+    (["ed", "--k", "100"], "--k must be in 1..70, got 100"),
+    (["ed", "--k", "71", "--method", "iterative"], "--k must be in 1..70, got 71"),
+    (["ed", "--method", "iterative", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["ed", "--method", "iterative", "--tol", "inf"], "tol must be finite and positive, got inf"),
+    (["ed", "--method", "iterative", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["ed", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["ed", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["dmrg", "--m", "32", "--tol", "inf"], "tol must be finite and positive, got inf"),
+    (["dmrg", "--m", "32", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["sweep", "--m-list", "2,x"], "--m-list must be comma-separated integers, got 'x'"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["ed", "--k", "0"],
-        ["ed", "--k", "-2"],
-        ["ed", "--k", "100"],
-        ["ed", "--k", "71", "--method", "iterative"],
-        ["ed", "--method", "iterative", "--tol", "nan"],
-        ["ed", "--method", "iterative", "--tol", "inf"],
-        ["ed", "--method", "iterative", "--seed", "-1"],
-        ["ed", "--tol", "nan"],
-        ["ed", "--seed", "-1"],
-        ["dmrg", "--m", "32", "--tol", "inf"],
-        ["dmrg", "--m", "32", "--seed", "-1"],
-    ],
-    ids=" ".join,
+    "argv, message", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS]
 )
-def test_bad_solver_flags_exit_2(eight_path, tmp_path, capsys, argv):
+def test_bad_solver_flags_exit_2(eight_path, tmp_path, capsys, argv, message):
     # the 8-level sector at 4 pairs has dim 70
     out = tmp_path / "x.json"
     code = main([*argv, "--model", eight_path, "--pairs", "4", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "eight.json"]
 
 

@@ -1,0 +1,107 @@
+"""Randomized differential tests of the exact-diagonalization layer.
+
+Random general and integrable models with up to ten levels, at every
+filling, are checked against the matrix built one element at a time with
+``matrix_element`` and against exact invariants of the spectrum.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairsolve import (
+    FamilyKind,
+    HamiltonianAction,
+    IntegrableSpec,
+    PairingModel,
+    build_integrable,
+    dense_spectrum,
+    enumerate_basis,
+    iterative_ground,
+    matrix_element,
+)
+
+
+def general_model(rng, n):
+    v1 = rng.normal(size=(n, n))
+    v1 = 0.5 * (v1 + v1.T)
+    np.fill_diagonal(v1, 0.0)
+    v2 = rng.normal(size=(n, n))
+    v2 = 0.5 * (v2 + v2.T)
+    np.fill_diagonal(v2, 0.0)
+    return PairingModel(eps=rng.normal(size=n), v1=v1, v2=v2)
+
+
+def integrable_model(rng, n, family):
+    # eta gaps in [0.1, 0.3] keep every |d_eta| in (0.1, pi), away from
+    # degenerate and singular kernels
+    eta = np.cumsum(rng.uniform(0.1, 0.3, size=n))
+    spec = IntegrableSpec(
+        g=float(rng.normal()),
+        epsilon=np.sort(rng.normal(size=n)),
+        eta=eta,
+        family=family,
+    )
+    return build_integrable(spec)
+
+
+def elementwise_matrix(model, basis):
+    h = np.empty((basis.dim, basis.dim))
+    for a, s in enumerate(basis.patterns):
+        for b, t in enumerate(basis.patterns):
+            h[a, b] = matrix_element(model, int(s), int(t))
+    return h
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(2, 10),
+    kind=st.sampled_from(["general", *FamilyKind]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_action_agrees_with_matrix_elements_and_invariants(n, kind, seed, data):
+    m = data.draw(st.integers(0, n), label="pairs")
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        model = general_model(rng, n)
+    else:
+        model = integrable_model(rng, n, kind)
+    basis = enumerate_basis(n, m)
+    action = HamiltonianAction(model, basis)
+
+    # every off-diagonal entry is one v1 value, so the hop part is exact;
+    # the diagonal sums the same terms in another order, so its rounding
+    # is bounded by the sum of the terms' magnitudes
+    ref = elementwise_matrix(model, basis)
+    bound = elementwise_matrix(
+        PairingModel(eps=np.abs(model.eps), v1=np.abs(model.v1), v2=np.abs(model.v2)),
+        basis,
+    )
+    h = action.dense_matrix()
+    off = ~np.eye(basis.dim, dtype=bool)
+    assert np.array_equal(h[off], ref[off])
+    assert np.all(np.abs(np.diag(h) - np.diag(ref)) <= 1e-13 * np.diag(bound))
+
+    x = rng.normal(size=basis.dim)
+    assert np.all(np.abs(action.apply(x) - ref @ x) <= 1e-12 * (bound @ np.abs(x)))
+
+    dense = dense_spectrum(model, basis).energies
+    k = min(3, basis.dim)
+    iterative = iterative_ground(model, basis, k=k, tol=1e-12).energies
+    assert np.allclose(iterative, dense[:k], rtol=1e-9, atol=1e-9)
+
+    # a uniform level shift c moves every energy by 2Mc
+    c = float(rng.normal())
+    shifted = PairingModel(eps=model.eps + c, v1=model.v1, v2=model.v2)
+    assert np.allclose(
+        dense_spectrum(shifted, basis).energies, dense + 2 * m * c, atol=1e-9
+    )
+
+    # relabelling the levels leaves the spectrum unchanged
+    perm = rng.permutation(n)
+    permuted = PairingModel(
+        eps=model.eps[perm],
+        v1=model.v1[np.ix_(perm, perm)],
+        v2=model.v2[np.ix_(perm, perm)],
+    )
+    assert np.allclose(dense_spectrum(permuted, basis).energies, dense, atol=1e-9)

@@ -146,6 +146,35 @@ def test_action_matches_single_elements():
     assert np.allclose(apply(model, basis, x), h_ref @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, m",
+    [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (6, 0), (6, 6), (7, 3), (7, 4), (8, 4), (10, 8)],
+)
+def test_action_footprint_and_edge_sectors(n, m):
+    # the diagonal, the (dim, min(M, N-M)) slot table and one buffer over
+    # the smaller neighbouring sector: M - 1 pairs, or M + 1 above half
+    # filling; (10, 8) must take the raising side, C(10, 9) = 10 << C(10, 7)
+    model = random_model(np.random.default_rng(n * 11 + m), n)
+    basis = enumerate_basis(n, m)
+    action = HamiltonianAction(model, basis)
+    arrays = [v for v in vars(action).values() if isinstance(v, np.ndarray)]
+    expected = [("f", (basis.dim,))]
+    width = min(m, n - m)
+    if width:
+        other = min(math.comb(n, m - 1), math.comb(n, m + 1))
+        expected += [("f", (n, other)), ("i", (basis.dim, width))]
+    assert sorted((a.dtype.kind, a.shape) for a in arrays) == sorted(expected)
+    h_ref = dense_by_elements(model, basis)
+    off = ~np.eye(basis.dim, dtype=bool)
+    assert np.array_equal(action.dense_matrix()[off], h_ref[off])
+    x = np.random.default_rng(m).normal(size=basis.dim)
+    assert np.allclose(action.apply(x), h_ref @ x, rtol=0.0, atol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        action.apply(np.ones(basis.dim + 1))
+    with pytest.raises(DimensionMismatch):
+        action.apply(np.ones((basis.dim, 1)))
+
+
 def test_action_rejects_level_mismatch():
     model = build_reduced_bcs([1.0, 2.0, 3.0, 4.0], 0.5)
     basis = enumerate_basis(6, 3)
