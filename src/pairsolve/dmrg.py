@@ -12,10 +12,12 @@ target.
 Memory layout: a block stores its block Hamiltonian and, for each level
 in its kept basis, two explicit matrices (pair creation and number;
 annihilation is the transpose on demand).  Levels added by growth are
-bare: they store nothing, and their operators, like the enlarged operators
-of the kept levels, are Kronecker products built on demand and never held
-together.  A grown block shares its core's explicit operators and drops
-the core Hamiltonian, so stored per-level entries (counted in the
+bare: they store nothing.  No hot loop builds a per-level Kronecker
+product: growth sums the kept operators against each new level first,
+truncation projects through reshapes of the kept-state matrix, and the
+superblock matvec runs over the (s, t - s) pair-sector blocks of its
+target sector t.  A grown block shares its core's explicit operators and
+drops the core Hamiltonian, so stored per-level entries (counted in the
 3-per-level convention) stay within 3*m^2*N for every m >= 2.  On top of
 that the two block Hamiltonians take at most (4m)^2 + m^2 entries: only
 one side grows by two levels in an iteration, and then the other side
@@ -143,27 +145,22 @@ def _combine(coeffs, ops, d: int) -> np.ndarray:
     return out
 
 
-def _join(h_a, ops_a, h_b, ops_b, model: PairingModel) -> np.ndarray:
-    """Hamiltonian on A (x) B, B fastest, from each side's Hamiltonian and
-    its (level, pair creation, number) operators."""
-    h = np.kron(h_a, np.eye(len(h_b))) + np.kron(np.eye(len(h_a)), h_b)
-    for li, bi, ni in ops_a:
-        for lj, bj, nj in ops_b:
-            w1 = float(model.v1[li, lj])
-            w2 = float(model.v2[li, lj])
-            if w1:
-                h += w1 * (np.kron(bi, bj.T) + np.kron(bi.T, bj))
-            if w2:
-                h += 2.0 * w2 * np.kron(ni, nj)
-    return h
+def _join(a: Block, b: Block, model: PairingModel):
+    """Sector labels and Hamiltonian on A (x) B, B fastest.
 
-
-def _bare_ops(levels):
-    n = len(levels)
-    return [
-        (l, _bare_op(_SITE_RAISE, j, n), _bare_op(_SITE_NUMBER, j, n))
-        for j, l in enumerate(levels)
-    ]
+    A's operators are first summed with their couplings to each level of
+    B, so every level of B costs one Kronecker product per operator kind.
+    """
+    h = np.kron(a.h, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.h)
+    ix = list(a.levels)
+    for lj in b.levels:
+        w1, w2 = model.v1[ix, lj], 2.0 * model.v2[ix, lj]
+        if np.any(w1):
+            bi, bj = a.weighted_raise(w1), b.raise_op(lj)
+            h += np.kron(bi, bj.T) + np.kron(bi.T, bj)
+        if np.any(w2):
+            h += np.kron(a.weighted_number(w2), b.number_op(lj))
+    return np.add.outer(a.sectors, b.sectors).ravel(), h
 
 
 def vacuum_block() -> Block:
@@ -185,17 +182,14 @@ class GrownBlock(Block):
             raise InvariantViolation(
                 f"levels {list(levels)} repeat a level or one of {list(core.levels)}"
             )
-        h_add, sectors = np.zeros((1, 1)), np.zeros(1, dtype=int)
+        add = vacuum_block()
         for j, level in enumerate(levels):
-            site = [(level, _SITE_RAISE, _SITE_NUMBER)]
             site_h = np.diag([0.0, 2.0 * float(model.eps[level])])
-            h_add = _join(h_add, _bare_ops(levels[:j]), site_h, site, model)
-            sectors = np.add.outer(sectors, [0, 1]).ravel()
-        ops = [(l, core.raise_op(l), core.number_op(l)) for l in core.levels]
+            site = Block((level,), [0, 1], site_h, [], [], 1)
+            add = Block(levels[: j + 1], *_join(add, site, model), [], [], j + 1)
         super().__init__(
             core.levels + levels,
-            np.add.outer(core.sectors, sectors).ravel(),
-            _join(core.h, ops, h_add, _bare_ops(levels), model),
+            *_join(core, add, model),
             core.raise_ops,
             core.number_ops,
             core.n_bare + len(levels),
@@ -289,7 +283,14 @@ class _Superblock:
 
     Cross-block couplings are factored by SVD of the coupling submatrices,
     giving one composite operator pair per retained singular value instead
-    of one per level pair (rank 1 for constant pairing).
+    of one per level pair (rank 1 for constant pairing).  The target
+    sector t splits into blocks (s, t - s) of hole sector s and particle
+    sector t - s, one for each s present on both sides, and every operator
+    is kept only as its sub-blocks on those sectors: block Hamiltonians and
+    number terms within a block, pair hops between blocks s and s + 1.  A
+    matvec is a sum of small products over the blocks and forms no dense
+    dh x dp state.  The vector holds the target entries of the dh x dp
+    product space in row-major order.
     """
 
     def __init__(self, hole, particle, model: PairingModel, target: int):
@@ -301,47 +302,74 @@ class _Superblock:
                 f"no states with {target} pairs in a "
                 f"{self.dh}x{self.dp} superblock"
             )
-        self.hh, self.hp = hole.h, particle.h
+        secs = [s for s in np.unique(hole.sectors) if target - s in particle.sectors]
+        hs = [np.flatnonzero(hole.sectors == s) for s in secs]
+        ps = [np.flatnonzero(particle.sectors == target - s) for s in secs]
+        self.blocks = [
+            (
+                np.searchsorted(self.flat_idx, h[:, None] * self.dp + p),
+                hole.h[np.ix_(h, h)],
+                particle.h[np.ix_(p, p)],
+            )
+            for h, p in zip(hs, ps)
+        ]
+        hops = [k for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
         ix = np.ix_(list(hole.levels), list(particle.levels))
-        self.raise_terms = self._factor(
-            model.v1[ix], hole.weighted_raise, particle.weighted_raise
-        )
-        self.number_terms = self._factor(
+        terms = self._factor(model.v1[ix], hole.weighted_raise, particle.weighted_raise)
+        self.raise_terms = [
+            [(k, a[np.ix_(hs[k + 1], hs[k])], c[np.ix_(ps[k], ps[k + 1])])
+             for k in hops]
+            for a, c in terms
+        ]
+        terms = self._factor(
             2.0 * model.v2[ix], hole.weighted_number, particle.weighted_number
         )
+        self.number_terms = [
+            [(d[np.ix_(h, h)], e[np.ix_(p, p)]) for h, p in zip(hs, ps)]
+            for d, e in terms
+        ]
 
     @staticmethod
     def _factor(coupling, hole_op, particle_op):
+        """Composite operator pairs, one at a time, one per singular value."""
         if not np.any(coupling):
-            return []
+            return
         u, s, vt = np.linalg.svd(coupling)
-        terms = []
         for r in range(len(s)):
             if s[r] <= _SVD_CUT * s[0]:
                 break
             w = np.sqrt(s[r])
-            terms.append((hole_op(w * u[:, r]), particle_op(w * vt[r, :])))
-        return terms
+            yield hole_op(w * u[:, r]), particle_op(w * vt[r, :])
 
     @property
     def sector_dim(self) -> int:
         return len(self.flat_idx)
 
     def work_entries(self) -> int:
-        comp = sum(a.size + b.size for a, b in self.raise_terms)
-        comp += sum(a.size + b.size for a, b in self.number_terms)
-        return comp + 3 * self.dh * self.dp + 22 * self.sector_dim
+        """Entries held for the solve: the sector blocks and their indices,
+        the gathered, result and output vectors of a matvec and its largest
+        product temporary, and 22 sector vectors of eigensolver space."""
+        held = sum(i.size + hh.size + hp.size for i, hh, hp in self.blocks)
+        held += sum(a.size + c.size for t in self.raise_terms for _, a, c in t)
+        held += sum(d.size + e.size for t in self.number_terms for d, e in t)
+        rows = max(i.shape[0] for i, _, _ in self.blocks)
+        cols = max(i.shape[1] for i, _, _ in self.blocks)
+        return held + rows * cols + 25 * self.sector_dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        psi = self.embed(x)
-        y = self.hh @ psi
-        y += psi @ self.hp
-        for a, c in self.raise_terms:
-            y += a @ psi @ c
-            y += a.T @ psi @ c.T
-        for d, e in self.number_terms:
-            y += d @ psi @ e
-        return self.restrict(y)
+        xs = [x[i] for i, _, _ in self.blocks]
+        ys = [hh @ b + b @ hp for b, (_, hh, hp) in zip(xs, self.blocks)]
+        for term in self.number_terms:
+            for y, b, (d, e) in zip(ys, xs, term):
+                y += d @ b @ e
+        for term in self.raise_terms:
+            for k, a, c in term:
+                ys[k + 1] += a @ xs[k] @ c
+                ys[k] += a.T @ xs[k + 1] @ c.T
+        out = np.empty(len(x))
+        for (i, _, _), y in zip(self.blocks, ys):
+            out[i] = y
+        return out
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         psi = np.zeros(self.dh * self.dp)
@@ -426,13 +454,16 @@ def _truncate_with_basis(block, rho: np.ndarray, m: int):
     # a strided W changes the bits of the projections below
     w = np.ascontiguousarray(vecs[:, keep])
     weight = min(max(1.0 - sum(lams[keep].tolist()), 0.0), 1.0)
-    new = Block(
-        block.levels,
-        secs[keep],
-        w.T @ block.h @ w,
-        [w.T @ block.raise_op(l) @ w for l in block.levels],
-        [w.T @ block.number_op(l) @ w for l in block.levels],
-    )
+    # explicit levels act on the core index, bare level j on bit j after it
+    k, core = w.shape[1], w.reshape(block.core_dim, -1)
+    raise_ops = [w.T @ (a @ core).reshape(w.shape) for a in block.raise_ops]
+    number_ops = [w.T @ (a @ core).reshape(w.shape) for a in block.number_ops]
+    for j in range(block.n_bare):
+        w0, w1 = np.moveaxis(w.reshape(block.core_dim << j, 2, -1, k), 1, 0)
+        w0, w1 = w0.reshape(-1, k), w1.reshape(-1, k)
+        raise_ops.append(w1.T @ w0)
+        number_ops.append(2.0 * (w1.T @ w1))
+    new = Block(block.levels, secs[keep], w.T @ block.h @ w, raise_ops, number_ops)
     return new, weight, w
 
 
@@ -467,8 +498,9 @@ class DmrgResult:
     blocks at the worst moment: block Hamiltonians plus explicit per-level
     operators (bare levels store none).  per_level_peak_entries counts the
     explicit per-level operators alone in the 3-operators-per-level
-    convention; work_peak_entries covers solver scratch (composite
-    coupling operators, superblock vectors, density matrices).
+    convention; work_peak_entries covers solver scratch (the superblock's
+    sector blocks, matvec temporaries and eigensolver vectors, density
+    matrices).
     """
 
     iterations: tuple
@@ -588,6 +620,8 @@ def history_csv(result: DmrgResult) -> str:
 
 
 def summary_dict(result: DmrgResult) -> dict:
+    """Energy, sizes and ``memory_report``'s storage accounting of a run."""
+    report = memory_report(result)
     return {
         "final_energy": float(result.final_energy),
         "m": result.m,
@@ -596,6 +630,10 @@ def summary_dict(result: DmrgResult) -> dict:
         "iterations": len(result.iterations),
         "memory_peak_entries": result.memory_peak_entries,
         "wall_seconds": result.wall_seconds,
+        "per_level_peak_entries": report["per_level_peak_entries"],
+        "work_peak_entries": report["work_peak_entries"],
+        "block_operator_bound_entries": report["block_operator_bound_entries"],
+        "within_bound": report["within_bound"],
     }
 
 

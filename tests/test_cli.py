@@ -295,7 +295,12 @@ def test_dmrg_on_toy(toy_path, tmp_path, capsys):
         "iterations",
         "memory_peak_entries",
         "wall_seconds",
+        "per_level_peak_entries",
+        "work_peak_entries",
+        "block_operator_bound_entries",
+        "within_bound",
     }
+    assert doc["within_bound"] is True
     assert doc["final_energy"] == pytest.approx(TOY_GROUND, abs=1e-9)
     assert doc["iterations"] == 2
     assert doc["wall_seconds"] == 0.0

@@ -10,6 +10,7 @@ from pairsolve import (
     Block,
     DmrgConfig,
     EmptySector,
+    FamilyKind,
     GrownBlock,
     InfeasibleTarget,
     InvariantViolation,
@@ -31,8 +32,15 @@ from pairsolve import (
     target_pairs,
     truncate,
 )
-from pairsolve.dmrg import DimensionMismatch, _plan, vacuum_block
+from pairsolve.dmrg import (
+    DimensionMismatch,
+    _plan,
+    _Superblock,
+    _truncate_with_basis,
+    vacuum_block,
+)
 from pairsolve.errors import PairsolveError
+from test_ed_differential import integrable_model
 
 
 def toy_model():
@@ -59,6 +67,42 @@ def explicit_block(model, levels):
     """Untruncated block over ``levels`` storing every level's operators."""
     d = 1 << len(levels)
     return truncate(exact_block(model, levels), np.eye(d) / d, d)[0]
+
+
+def sector_pure_density(block, rng):
+    """A random density matrix supported on a random subset of the block's
+    pair sectors, and its rank."""
+    rho = np.zeros((block.dim, block.dim))
+    rank = 0
+    for s in np.unique(block.sectors):
+        if rng.random() < 0.4 and rank:
+            continue
+        idx = np.flatnonzero(block.sectors == s)
+        v = rng.normal(size=(len(idx), int(rng.integers(1, len(idx) + 1))))
+        rho[np.ix_(idx, idx)] += v @ v.T
+        rank += v.shape[1]
+    return rho / np.trace(rho), rank
+
+
+def random_block(model, levels, n_bare, rng):
+    """Block over ``levels``: the leading ones kept by a random sector-pure
+    density, so whole sectors can be missing, then ``n_bare`` bare ones."""
+    split = len(levels) - n_bare
+    core = exact_block(model, levels[:split])
+    core = truncate(core, *sector_pure_density(core, rng))[0]
+    return GrownBlock(core, levels[split:], model)
+
+
+def kronecker_superblock(hole, particle, model):
+    """Dense superblock Hamiltonian from per-level Kronecker products."""
+    h = np.kron(hole.h, np.eye(particle.dim)) + np.kron(np.eye(hole.dim), particle.h)
+    for i in hole.levels:
+        for j in particle.levels:
+            bi, bj = hole.raise_op(i), particle.raise_op(j)
+            h += model.v1[i, j] * (np.kron(bi, bj.T) + np.kron(bi.T, bj))
+            ni, nj = hole.number_op(i), particle.number_op(j)
+            h += 2.0 * model.v2[i, j] * np.kron(ni, nj)
+    return h
 
 
 def pattern_ops(levels, level):
@@ -336,6 +380,57 @@ def test_superblock_reports_non_convergence():
         superblock_ground(hole, particle, model, 6, config)
 
 
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_blocked_superblock_matches_kronecker_products(n, seed, data):
+    # random level splits, sectors missing on either side, every target;
+    # sector dims <= 64 take the eigensolver's dense path, larger ones ARPACK
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n)
+    levels = [int(x) for x in rng.permutation(n)]
+    split = data.draw(st.integers(0, n), label="hole levels")
+    blocks = []
+    for side in (levels[:split], levels[split:]):
+        n_bare = data.draw(st.integers(0, min(2, len(side))), label="bare levels")
+        blocks.append(random_block(model, side, n_bare, rng))
+    hole, particle = blocks
+    h = kronecker_superblock(hole, particle, model)
+    config = DmrgConfig(m=2, total_pairs=0, superblock_tol=1e-12)
+    for target in range(n + 1):
+        mask = np.add.outer(hole.sectors, particle.sectors).ravel() == target
+        if not mask.any():
+            with pytest.raises(EmptySector):
+                _Superblock(hole, particle, model, target)
+            continue
+        op = _Superblock(hole, particle, model, target)
+        x = rng.normal(size=op.sector_dim)
+        want = op.restrict(h @ op.embed(x).ravel())
+        assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
+        exact = np.linalg.eigvalsh(h[np.ix_(mask, mask)])[0]
+        e0, _ = superblock_ground(hole, particle, model, target, config)
+        assert e0 == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_explicit,n_bare", [(3, 0), (3, 1), (2, 2), (0, 2)])
+def test_truncation_projects_level_operators(n_explicit, n_bare):
+    rng = np.random.default_rng(10 * n_explicit + n_bare)
+    model = random_model(rng, 6)
+    block = random_block(model, [4, 0, 5, 2, 1][: n_explicit + n_bare], n_bare, rng)
+    assert block.n_bare == n_bare
+    rho, rank = sector_pure_density(block, rng)
+    new, _, w = _truncate_with_basis(block, rho, rank)
+    assert new.levels == block.levels and new.n_bare == 0
+    for i, level in enumerate(block.levels):
+        want = w.T @ block.raise_op(level) @ w
+        assert np.allclose(new.raise_ops[i], want, rtol=0, atol=1e-13)
+        want = w.T @ block.number_op(level) @ w
+        assert np.allclose(new.number_ops[i], want, rtol=0, atol=1e-13)
+
+
 def test_reduced_density_product_state():
     a = np.array([1.0, 2.0, 2.0])
     b = np.array([3.0, 4.0])
@@ -555,6 +650,26 @@ def test_random_runs_keep_their_guarantees(n, m, seed, data):
     assert result.final_energy >= exact - 1e-9
 
 
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10]),
+    kind=st.sampled_from(["general", *FamilyKind]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_untruncated_runs_equal_exact_diagonalization(n, kind, seed, data):
+    # m = 2**N keeps every state, so only the eigensolver tolerance remains
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        model = random_model(rng, n)
+    else:
+        model = integrable_model(rng, n, kind)
+    pairs = data.draw(st.integers(0, n), label="pairs")
+    result = run_infinite(model, DmrgConfig(m=2**n, total_pairs=pairs))
+    exact = dense_spectrum(model, enumerate_basis(n, pairs)).energies[0]
+    assert result.final_energy == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+
 def test_history_csv_format():
     model = toy_model()
     res = run_infinite(model, DmrgConfig(m=8, total_pairs=2))
@@ -584,9 +699,16 @@ def test_summary_dict_keys():
         "iterations",
         "memory_peak_entries",
         "wall_seconds",
+        "per_level_peak_entries",
+        "work_peak_entries",
+        "block_operator_bound_entries",
+        "within_bound",
     }
     assert doc["iterations"] == 2
     assert doc["final_energy"] == res.final_energy
+    report = memory_report(res)
+    for key in set(doc) & set(report):
+        assert doc[key] == report[key]
 
 
 def test_errors_share_a_base_class():
