@@ -268,6 +268,7 @@ def cmd_sweep(args) -> int:
             (max(r.trunc_weight_hole, r.trunc_weight_particle) for r in result.iterations),
             default=0.0,
         )
+        report = memory_report(result)
         rows.append(
             {
                 "m": m,
@@ -277,6 +278,8 @@ def cmd_sweep(args) -> int:
                 "wall_seconds": result.wall_seconds,
                 "peak_memory_entries": result.memory_peak_entries,
                 "self_convergence": _rel_error(diff, e_best),
+                "per_level_peak_entries": report["per_level_peak_entries"],
+                "within_bound": report["within_bound"],
             }
         )
     if args.format == "json":
@@ -284,13 +287,14 @@ def cmd_sweep(args) -> int:
     else:
         lines = [
             "m,E0,error_vs_best,trunc_weight,wall_seconds,"
-            "peak_memory_entries,self_convergence"
+            "peak_memory_entries,self_convergence,per_level_peak_entries,within_bound"
         ]
         for r in rows:
             lines.append(
                 f"{r['m']},{_fmt(r['E0'])},{_fmt(r['error_vs_best'])},"
                 f"{_fmt(r['trunc_weight'])},{_fmt(r['wall_seconds'])},"
-                f"{r['peak_memory_entries']},{_fmt(r['self_convergence'])}"
+                f"{r['peak_memory_entries']},{_fmt(r['self_convergence'])},"
+                f"{r['per_level_peak_entries']},{str(r['within_bound']).lower()}"
             )
         Path(args.out).write_text("\n".join(lines) + "\n")
     _write_manifest(args, args.out, args.format)

@@ -9,25 +9,29 @@ matrix.  A run starts from two vacuum blocks and follows a fixed plan of
 exactly N/2 steps, each naming the levels every side gains and the pair
 target.
 
-Memory layout: a block stores its block Hamiltonian and, for each level
-in its kept basis, two explicit matrices (pair creation and number;
-annihilation is the transpose on demand).  Levels added by growth are
-bare: they store nothing.  No hot loop builds a per-level Kronecker
-product: growth sums the kept operators against each new level first,
-truncation projects through reshapes of the kept-state matrix, and the
-superblock matvec runs over the (s, t - s) pair-sector blocks of its
-target sector t.  A grown block shares its core's explicit operators and
-drops the core Hamiltonian, so stored per-level entries (counted in the
-3-per-level convention) stay within 3*m^2*N for every m >= 2.  On top of
-that the two block Hamiltonians take at most (4m)^2 + m^2 entries: only
-one side grows by two levels in an iteration, and then the other side
-does not grow.  Solver work arrays are accounted separately.
+Memory layout: a block over the levels L meets the rest of the model only
+through v1 and v2 between L and the levels O outside it, so it stores
+coupling modes: per operator kind, an orthonormal basis U of the row space
+of that coupling and the operators sum_i U[i, r] o_i on its kept basis
+(annihilation is the transpose; reduced BCS keeps one raise mode and no
+number mode).  O only shrinks as a block grows, so growth writes the new
+modes from the core's and the new bare levels', and the superblock
+coupling is U_h^T v U_p.  No hot loop builds a per-level Kronecker product:
+growth sums along the coupling first, truncation projects through reshapes
+of the kept-state matrix, and the superblock matvec runs over the
+(s, t - s) pair-sector blocks of its target sector t.  A grown block drops
+the core Hamiltonian.  Stored mode entries, counted in the 3-per-level
+convention as two per raise mode and one per number mode, stay within
+3*m^2*N for every m >= 2; the two block Hamiltonians add at most
+(4m)^2 + m^2 entries (only one side grows by two levels in an iteration,
+and then the other does not grow).  Solver work arrays are accounted
+separately.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -44,43 +48,57 @@ from .errors import (
 from .exactdiag import check_solver_args, lowest_eigenpairs
 from .model import PairingModel
 
-_SITE_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])
-_SITE_NUMBER = np.array([[0.0, 0.0], [0.0, 2.0]])
+#: One level's pair creation and number operator, indexed by mode kind.
+_SITES = (np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 2.0]]))
+_RAISE, _NUMBER = 0, 1
 
-#: Singular values below this relative cutoff are dropped when the
-#: cross-block coupling matrices are factored into low-rank products.
+#: Singular values below this relative cutoff are dropped when a coupling
+#: is factored into modes.
 _SVD_CUT = 1e-13
+#: Coefficients whose part outside a block's modes exceeds this fraction of
+#: their norm are rejected.  The cutoff compounds over growth steps: true
+#: couplings of N = 40 hyperbolic models leave up to 3.5e-13 outside.
+_SPAN_TOL = 1e-10
+
+
+class Modes(NamedTuple):
+    """One operator kind's r modes: mode r is sum_i span[i, r] o_i over the
+    block's levels (orthonormal columns), and ``ops[r]`` is its part on the
+    explicit levels, on the core basis; the bare rows give the rest."""
+
+    ops: np.ndarray
+    span: np.ndarray
 
 
 class Block:
     """A set of levels: explicit leading levels and bare trailing levels.
 
     The basis is core-major, index = a * 2**n_bare + s.  ``a`` runs over a
-    kept basis of dim ``core_dim`` on which each leading level stores its
-    projected pair-creation and number operators (annihilation is the
-    transpose).  ``s`` runs over the occupation patterns of the trailing
-    ``n_bare`` levels, the last level fastest; bare levels store nothing and
-    their operators are Kronecker products built on demand.  Also stores
-    pair-number sector labels and the block Hamiltonian on the full basis.
-    Instances are treated as immutable.
+    kept basis of dim ``core_dim``, on which the explicit part of every
+    coupling mode is stored.  ``s`` runs over the occupation patterns of
+    the trailing ``n_bare`` levels, the last level fastest; bare levels
+    store nothing.  ``modes`` holds the raise and the number ``Modes``.
+    Also stores pair-number sector labels and the block Hamiltonian on the
+    full basis.  Instances are treated as immutable.
     """
 
-    def __init__(self, levels, sectors, h, raise_ops, number_ops, n_bare=0):
+    def __init__(self, levels, sectors, h, modes, n_bare=0):
         self.levels = tuple(int(x) for x in levels)
         self.sectors = np.asarray(sectors, dtype=int)
         self.h = np.asarray(h, dtype=float)
-        self.raise_ops = [np.asarray(a, dtype=float) for a in raise_ops]
-        self.number_ops = [np.asarray(a, dtype=float) for a in number_ops]
+        self.modes = tuple(
+            Modes(np.asarray(ops, dtype=float), np.asarray(span, dtype=float))
+            for ops, span in modes
+        )
         self.n_bare = n_bare
-        n_explicit = len(self.levels) - n_bare
-        if len(self.raise_ops) != n_explicit or len(self.number_ops) != n_explicit:
-            raise InvariantViolation(
-                "one pair-creation and one number operator per explicit level"
-            )
         if self.h.shape != (self.dim, self.dim) or self.dim % (1 << n_bare):
             raise InvariantViolation(
                 f"block Hamiltonian shape {self.h.shape} does not match dim {self.dim}"
             )
+        square = (self.core_dim, self.core_dim)
+        for ops, span in self.modes:
+            if span.shape != (len(self.levels), len(ops)) or ops.shape[1:] != square:
+                raise InvariantViolation("modes do not match the levels and the core dim")
 
     @property
     def dim(self) -> int:
@@ -90,90 +108,114 @@ class Block:
     def core_dim(self) -> int:
         return self.dim >> self.n_bare
 
-    def _op(self, level: int, ops, site) -> np.ndarray:
-        i = self.levels.index(level)
-        if i < len(ops):
-            if not self.n_bare:
-                return ops[i]
-            return np.kron(ops[i], np.eye(1 << self.n_bare))
-        return np.kron(np.eye(self.core_dim), _bare_op(site, i - len(ops), self.n_bare))
-
-    def raise_op(self, level: int) -> np.ndarray:
-        return self._op(level, self.raise_ops, _SITE_RAISE)
-
-    def number_op(self, level: int) -> np.ndarray:
-        return self._op(level, self.number_ops, _SITE_NUMBER)
-
-    def _weighted(self, coeffs, ops, site) -> np.ndarray:
-        n, nb = len(ops), self.n_bare
-        out = _combine(coeffs[:n], ops, self.core_dim)
-        if not nb:
-            return out
-        bare = _combine(coeffs[n:], [_bare_op(site, j, nb) for j in range(nb)], 1 << nb)
-        out = np.kron(out, np.eye(1 << nb))
-        out += np.kron(np.eye(self.core_dim), bare)
+    def _mode_sum(self, kind: int, y) -> np.ndarray:
+        """sum_r y_r (mode r of ``kind``) on the block basis."""
+        ops, span = self.modes[kind]
+        out = np.einsum("r,rij->ij", y, ops)
+        for c in span[len(span) - self.n_bare :] @ y:  # bare levels, in order
+            out = _kron_sum(out, c * _SITES[kind])
         return out
 
+    def _weighted(self, coeffs, kind) -> np.ndarray:
+        c = np.asarray(coeffs, dtype=float)
+        span = self.modes[kind].span
+        y = span.T @ c
+        if np.linalg.norm(c - span @ y) > _SPAN_TOL * np.linalg.norm(c):
+            raise InvariantViolation("coefficients reach outside the block's coupling modes")
+        return self._mode_sum(kind, y)
+
     def weighted_raise(self, coeffs) -> np.ndarray:
-        """Sum of per-level pair-creation operators with given weights."""
-        return self._weighted(coeffs, self.raise_ops, _SITE_RAISE)
+        """sum_i coeffs[i] b_i over ``levels``; coeffs must lie in the modes' span."""
+        return self._weighted(coeffs, _RAISE)
 
     def weighted_number(self, coeffs) -> np.ndarray:
-        return self._weighted(coeffs, self.number_ops, _SITE_NUMBER)
+        return self._weighted(coeffs, _NUMBER)
 
     def stored_entries(self) -> int:
-        """Matrix entries actually held by this block."""
-        return self.h.size + sum(a.size for a in self.raise_ops) + sum(
-            a.size for a in self.number_ops
-        )
+        """Matrix entries held on the block basis: h and the modes' explicit
+        parts (the |L| x r mode coefficients are not counted)."""
+        return self.h.size + sum(m.ops.size for m in self.modes)
 
     def per_level_entries(self) -> int:
-        """Stored per-level operator entries in the 3-per-level convention."""
-        return 3 * len(self.raise_ops) * self.core_dim * self.core_dim
+        """Stored mode entries in the 3-per-level convention: creation and
+        annihilation per raise mode, one per number mode."""
+        raises, numbers = (m.ops.shape[0] for m in self.modes)
+        return (2 * raises + numbers) * self.core_dim * self.core_dim
 
 
-def _bare_op(site: np.ndarray, j: int, n: int) -> np.ndarray:
-    """``site`` acting on bare level j of n, over their 2**n patterns."""
-    return np.kron(np.kron(np.eye(1 << j), site), np.eye(1 << (n - j - 1)))
+def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x (x) I + I (x) y, written straight onto the diagonals it touches."""
+    dx, dy = len(x), len(y)
+    out = np.zeros((dx, dy, dx, dy))
+    out[:, range(dy), :, range(dy)] = x
+    out[range(dx), :, range(dx), :] += y
+    return out.reshape(dx * dy, dx * dy)
 
 
-def _combine(coeffs, ops, d: int) -> np.ndarray:
-    out = np.zeros((d, d))
-    for c, op in zip(coeffs, ops):
-        if c:
-            out += c * op
-    return out
+def _svd(k: np.ndarray):
+    """Thin SVD of k without singular values at or below _SVD_CUT times the largest."""
+    if not np.any(k):
+        return np.zeros((k.shape[0], 0)), np.zeros(0), np.zeros((0, k.shape[1]))
+    u, s, vt = np.linalg.svd(k, full_matrices=False)
+    r = int(np.count_nonzero(s > _SVD_CUT * s[0]))
+    return u[:, :r], s[:r], vt[:r]
+
+
+def _factor(a: Block, b: Block, coupling: np.ndarray, kind: int):
+    """Operator pairs (X, Y), one per singular value of the r_a x r_b mode
+    coupling, with sum_ij coupling[i, j] o_i (x) o_j = sum X (x) Y over the
+    levels of a and b; yielded one at a time."""
+    u, s, vt = _svd(a.modes[kind].span.T @ coupling @ b.modes[kind].span)
+    for r, sr in enumerate(s):
+        w = np.sqrt(sr)
+        yield a._mode_sum(kind, w * u[:, r]), b._mode_sum(kind, w * vt[r])
 
 
 def _join(a: Block, b: Block, model: PairingModel):
     """Sector labels and Hamiltonian on A (x) B, B fastest.
 
-    A's operators are first summed with their couplings to each level of
-    B, so every level of B costs one Kronecker product per operator kind.
+    The a-b coupling is summed over the modes first, so every factored
+    term costs one Kronecker product per operator kind.
     """
-    h = np.kron(a.h, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.h)
-    ix = list(a.levels)
-    for lj in b.levels:
-        w1, w2 = model.v1[ix, lj], 2.0 * model.v2[ix, lj]
-        if np.any(w1):
-            bi, bj = a.weighted_raise(w1), b.raise_op(lj)
-            h += np.kron(bi, bj.T) + np.kron(bi.T, bj)
-        if np.any(w2):
-            h += np.kron(a.weighted_number(w2), b.number_op(lj))
+    h = _kron_sum(a.h, b.h)
+    ix = np.ix_(list(a.levels), list(b.levels))
+    for x, y in _factor(a, b, model.v1[ix], _RAISE):
+        hop = np.kron(x, y.T)
+        h += hop
+        h += hop.T
+    for x, y in _factor(a, b, 2.0 * model.v2[ix], _NUMBER):
+        h += np.kron(x, y)
     return np.add.outer(a.sectors, b.sectors).ravel(), h
+
+
+def _bare_block(levels, sectors, h) -> Block:
+    """An all-bare block whose modes are its levels' own operators."""
+    own = Modes(np.zeros((len(levels), 1, 1)), np.eye(len(levels)))
+    return Block(levels, sectors, h, (own, own), len(levels))
 
 
 def vacuum_block() -> Block:
     """The empty block: one state, zero pairs, no levels."""
-    return Block((), [0], [[0.0]], [], [])
+    return _bare_block((), [0], [[0.0]])
+
+
+def _grow_modes(modes: Modes, coupling: np.ndarray) -> Modes:
+    """Modes after new bare levels join: the left singular vectors of the
+    coupling (old levels' rows first) to the levels still outside, over
+    the old modes and the new levels' own operators."""
+    ops, span = modes
+    n, r = span.shape
+    p = _svd(np.vstack([span.T @ coupling[:n], coupling[n:]]))[0]
+    return Modes(np.einsum("rs,rij->sij", p[:r], ops), np.vstack([span @ p[:r], p[r:]]))
 
 
 class GrownBlock(Block):
     """``core`` enlarged by bare ``levels``.
 
     The new levels are first combined exactly, one at a time, and then
-    joined to the core; the core's explicit operators are shared, not
-    copied, and the core's Hamiltonian is not kept.
+    joined to the core.  The grown block's modes factor its coupling to the
+    levels of ``model`` outside it; their explicit parts are combinations of
+    the core's, and the core's Hamiltonian is not kept.
     """
 
     def __init__(self, core: Block, levels, model: PairingModel):
@@ -185,13 +227,15 @@ class GrownBlock(Block):
         add = vacuum_block()
         for j, level in enumerate(levels):
             site_h = np.diag([0.0, 2.0 * float(model.eps[level])])
-            site = Block((level,), [0, 1], site_h, [], [], 1)
-            add = Block(levels[: j + 1], *_join(add, site, model), [], [], j + 1)
+            site = _bare_block((level,), [0, 1], site_h)
+            add = _bare_block(levels[: j + 1], *_join(add, site, model))
+        inside = core.levels + levels
+        ix = np.ix_(inside, np.setdiff1d(np.arange(model.n_levels), inside))
+        couplings = (model.v1[ix], 2.0 * model.v2[ix])
         super().__init__(
-            core.levels + levels,
+            inside,
             *_join(core, add, model),
-            core.raise_ops,
-            core.number_ops,
+            [_grow_modes(m, v) for m, v in zip(core.modes, couplings)],
             core.n_bare + len(levels),
         )
 
@@ -281,9 +325,9 @@ def init_blocks(model: PairingModel, config: DmrgConfig):
 class _Superblock:
     """Matrix-free superblock Hamiltonian restricted to one pair sector.
 
-    Cross-block couplings are factored by SVD of the coupling submatrices,
-    giving one composite operator pair per retained singular value instead
-    of one per level pair (rank 1 for constant pairing).  The target
+    Cross-block couplings are factored by SVD of the r_h x r_p coupling
+    between the two blocks' modes, giving one composite operator pair per
+    retained singular value (rank 1 for constant pairing).  The target
     sector t splits into blocks (s, t - s) of hole sector s and particle
     sector t - s, one for each s present on both sides, and every operator
     is kept only as its sub-blocks on those sectors: block Hamiltonians and
@@ -315,31 +359,15 @@ class _Superblock:
         ]
         hops = [k for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
         ix = np.ix_(list(hole.levels), list(particle.levels))
-        terms = self._factor(model.v1[ix], hole.weighted_raise, particle.weighted_raise)
         self.raise_terms = [
             [(k, a[np.ix_(hs[k + 1], hs[k])], c[np.ix_(ps[k], ps[k + 1])])
              for k in hops]
-            for a, c in terms
+            for a, c in _factor(hole, particle, model.v1[ix], _RAISE)
         ]
-        terms = self._factor(
-            2.0 * model.v2[ix], hole.weighted_number, particle.weighted_number
-        )
         self.number_terms = [
             [(d[np.ix_(h, h)], e[np.ix_(p, p)]) for h, p in zip(hs, ps)]
-            for d, e in terms
+            for d, e in _factor(hole, particle, 2.0 * model.v2[ix], _NUMBER)
         ]
-
-    @staticmethod
-    def _factor(coupling, hole_op, particle_op):
-        """Composite operator pairs, one at a time, one per singular value."""
-        if not np.any(coupling):
-            return
-        u, s, vt = np.linalg.svd(coupling)
-        for r in range(len(s)):
-            if s[r] <= _SVD_CUT * s[0]:
-                break
-            w = np.sqrt(s[r])
-            yield hole_op(w * u[:, r]), particle_op(w * vt[r, :])
 
     @property
     def sector_dim(self) -> int:
@@ -431,8 +459,9 @@ def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
 
 
 def _truncate_with_basis(block, rho: np.ndarray, m: int):
-    """Keep the m largest density-matrix eigenstates; also return the
-    kept-state column matrix W for guess embedding."""
+    """Keep the m largest density-matrix eigenstates and project h and the
+    coupling modes onto them; also return the kept-state column matrix W
+    for guess embedding."""
     d = block.dim
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (d, d):
@@ -454,16 +483,18 @@ def _truncate_with_basis(block, rho: np.ndarray, m: int):
     # a strided W changes the bits of the projections below
     w = np.ascontiguousarray(vecs[:, keep])
     weight = min(max(1.0 - sum(lams[keep].tolist()), 0.0), 1.0)
-    # explicit levels act on the core index, bare level j on bit j after it
-    k, core = w.shape[1], w.reshape(block.core_dim, -1)
-    raise_ops = [w.T @ (a @ core).reshape(w.shape) for a in block.raise_ops]
-    number_ops = [w.T @ (a @ core).reshape(w.shape) for a in block.number_ops]
-    for j in range(block.n_bare):
-        w0, w1 = np.moveaxis(w.reshape(block.core_dim << j, 2, -1, k), 1, 0)
-        w0, w1 = w0.reshape(-1, k), w1.reshape(-1, k)
-        raise_ops.append(w1.T @ w0)
-        number_ops.append(2.0 * (w1.T @ w1))
-    new = Block(block.levels, secs[keep], w.T @ block.h @ w, raise_ops, number_ops)
+    # explicit parts act on the core index, bare level j on bit j after it
+    k, core, nb = w.shape[1], w.reshape(block.core_dim, -1), block.n_bare
+    modes = []
+    for kind, (ops, span) in enumerate(block.modes):
+        ops = np.array([w.T @ (a @ core).reshape(w.shape) for a in ops]).reshape(-1, k, k)
+        for j in range(nb if len(ops) else 0):
+            w0, w1 = np.moveaxis(w.reshape(block.core_dim << j, 2, -1, k), 1, 0)
+            w0, w1 = w0.reshape(-1, k), w1.reshape(-1, k)
+            site = w1.T @ w0 if kind == _RAISE else 2.0 * (w1.T @ w1)
+            ops += np.multiply.outer(span[j - nb], site)
+        modes.append(Modes(ops, span))
+    new = Block(block.levels, secs[keep], w.T @ block.h @ w, modes)
     return new, weight, w
 
 
@@ -495,10 +526,11 @@ class DmrgResult:
     """Per-iteration records plus the final energy and memory accounting.
 
     memory_peak_entries counts matrix entries actually stored in the two
-    blocks at the worst moment: block Hamiltonians plus explicit per-level
-    operators (bare levels store none).  per_level_peak_entries counts the
-    explicit per-level operators alone in the 3-operators-per-level
-    convention; work_peak_entries covers solver scratch (the superblock's
+    blocks at the worst moment: block Hamiltonians plus the explicit parts
+    of the coupling modes (bare levels store none).  per_level_peak_entries
+    counts the modes alone in the 3-per-level convention (creation plus
+    annihilation per raise mode, one per number mode); work_peak_entries
+    covers solver scratch (the superblock's
     sector blocks, matvec temporaries and eigensolver vectors, density
     matrices).
     """

@@ -12,6 +12,7 @@ import pairsolve
 from pairsolve import (
     DegenerateEta,
     DimensionMismatch,
+    DmrgConfig,
     EmptySector,
     InfeasibleTarget,
     InvariantViolation,
@@ -25,6 +26,8 @@ from pairsolve import (
     TooLarge,
     build_reduced_bcs,
     enumerate_basis,
+    memory_report,
+    run_infinite,
 )
 from pairsolve import cli
 from pairsolve.cli import main
@@ -475,13 +478,15 @@ def test_sweep_csv(toy_path, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == (
         "m,E0,error_vs_best,trunc_weight,wall_seconds,"
-        "peak_memory_entries,self_convergence"
+        "peak_memory_entries,self_convergence,per_level_peak_entries,within_bound"
     )
     assert len(lines) == 3
     last = lines[2].split(",")
     assert last[0] == "4"
     assert float(last[2]) == 0.0  # the richest run is its own reference
     assert float(last[6]) == 0.0
+    # the toy's two-level blocks keep one 4 x 4 raise mode each
+    assert last[7:] == ["64", "true"]
 
 
 def test_sweep_json_format(toy_path, tmp_path):
@@ -502,6 +507,11 @@ def test_sweep_json_format(toy_path, tmp_path):
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["m"] == 2
     assert doc["rows"][1]["error_vs_best"] == 0.0
+    model = build_reduced_bcs([1.0, 2.0, 3.0, 4.0], 1.0)
+    for row in doc["rows"]:
+        report = memory_report(run_infinite(model, DmrgConfig(m=row["m"], total_pairs=2)))
+        assert row["per_level_peak_entries"] == report["per_level_peak_entries"]
+        assert row["within_bound"] is True
 
 
 def test_sweep_rejects_non_ascending(toy_path, tmp_path, capsys):

@@ -32,8 +32,10 @@ from pairsolve import (
     target_pairs,
     truncate,
 )
+from pairsolve import dmrg
 from pairsolve.dmrg import (
     DimensionMismatch,
+    Modes,
     _plan,
     _Superblock,
     _truncate_with_basis,
@@ -86,23 +88,39 @@ def sector_pure_density(block, rng):
 
 def random_block(model, levels, n_bare, rng):
     """Block over ``levels``: the leading ones kept by a random sector-pure
-    density, so whole sectors can be missing, then ``n_bare`` bare ones."""
+    density, so whole sectors can be missing, then ``n_bare`` bare ones.
+    Also returns the block's basis as columns over ``block_patterns(levels)``:
+    the kept-state matrix W of the exact core, times the bare patterns."""
     split = len(levels) - n_bare
     core = exact_block(model, levels[:split])
-    core = truncate(core, *sector_pure_density(core, rng))[0]
-    return GrownBlock(core, levels[split:], model)
+    core, _, w = _truncate_with_basis(core, *sector_pure_density(core, rng))
+    return GrownBlock(core, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
 
 
-def kronecker_superblock(hole, particle, model):
+def level_ops(levels, basis):
+    """Pair creation and number of every level of a block whose states are
+    the columns ``basis`` over ``block_patterns(levels)``."""
+    ops = [pattern_ops(levels, l) for l in levels]
+    return [
+        np.array([basis.T @ op[kind] @ basis for op in ops]) for kind in (0, 1)
+    ]
+
+
+def kronecker_superblock(hole, hole_basis, particle, particle_basis, model):
     """Dense superblock Hamiltonian from per-level Kronecker products."""
     h = np.kron(hole.h, np.eye(particle.dim)) + np.kron(np.eye(hole.dim), particle.h)
-    for i in hole.levels:
-        for j in particle.levels:
-            bi, bj = hole.raise_op(i), particle.raise_op(j)
-            h += model.v1[i, j] * (np.kron(bi, bj.T) + np.kron(bi.T, bj))
-            ni, nj = hole.number_op(i), particle.number_op(j)
-            h += 2.0 * model.v2[i, j] * np.kron(ni, nj)
+    bh, nh = level_ops(hole.levels, hole_basis)
+    bp, n_p = level_ops(particle.levels, particle_basis)
+    for a, i in enumerate(hole.levels):
+        for c, j in enumerate(particle.levels):
+            h += model.v1[i, j] * (np.kron(bh[a], bp[c].T) + np.kron(bh[a].T, bp[c]))
+            h += 2.0 * model.v2[i, j] * np.kron(nh[a], n_p[c])
     return h
+
+
+def mode_counts(block):
+    """(r1, r2): the block's raise and number mode counts."""
+    return tuple(modes.ops.shape[0] for modes in block.modes)
 
 
 def pattern_ops(levels, level):
@@ -152,10 +170,14 @@ def test_single_level_block():
     assert b.dim == 2
     assert b.sectors.tolist() == [0, 1]
     assert np.array_equal(b.h, np.diag([0.0, 6.0]))
-    assert np.array_equal(b.raise_op(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(b.number_op(2), np.diag([0.0, 2.0]))
+    # constant pairing, no monopole term: one raise mode, no number mode
+    assert mode_counts(b) == (1, 0)
+    assert np.array_equal(b.weighted_raise([1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(InvariantViolation):
+        b.weighted_number([1.0])
     assert b.n_bare == 1
-    assert b.stored_entries() == 4  # a bare level stores no operators
+    # h and the 1 x 1 vacuum part of the raise mode; the bare level stores nothing
+    assert b.stored_entries() == 4 + 1
 
 
 def test_vacuum_block():
@@ -190,42 +212,48 @@ def test_grown_hamiltonian_matches_single_elements():
 
 
 def test_grown_block_operators_match_materialized():
-    # two explicit core levels on the pattern basis, two bare levels added
-    model = random_model(np.random.default_rng(3), 5)
+    # two explicit core levels on the pattern basis, each its own mode, and
+    # two bare levels added; three levels stay outside, so four levels
+    # keep three modes of each kind
+    model = random_model(np.random.default_rng(3), 7)
     core_levels, levels = [0, 1], [0, 1, 2, 4]
+    own = [np.array([pattern_ops(core_levels, l)[k] for l in core_levels]) for k in (0, 1)]
     core = Block(
         core_levels,
         exact_block(model, core_levels).sectors,
         exact_block(model, core_levels).h,
-        [pattern_ops(core_levels, l)[0] for l in core_levels],
-        [pattern_ops(core_levels, l)[1] for l in core_levels],
+        [Modes(ops, np.eye(2)) for ops in own],
     )
     g = GrownBlock(core, [2, 4], model)
     assert g.levels == tuple(levels)
     assert (g.core_dim, g.n_bare) == (4, 2)
+    assert mode_counts(g) == (3, 3)
     pats = block_patterns(levels)
     for a, s in enumerate(pats):
         for c, t in enumerate(pats):
             if g.sectors[a] == g.sectors[c]:
                 assert g.h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
-    for lvl in levels:
-        b, n = pattern_ops(levels, lvl)
-        assert np.array_equal(g.raise_op(lvl), b)
-        assert np.array_equal(g.number_op(lvl), n)
-    coeffs = [0.3, -1.2, 0.7, 0.0]
-    want = sum(c * pattern_ops(levels, l)[0] for c, l in zip(coeffs, levels))
-    assert np.allclose(g.weighted_raise(coeffs), want, atol=1e-13)
-    want = sum(c * pattern_ops(levels, l)[1] for c, l in zip(coeffs, levels))
-    assert np.allclose(g.weighted_number(coeffs), want, atol=1e-13)
+    for outside in (3, 5, 6):
+        coeffs = model.v1[levels, outside]
+        want = sum(c * pattern_ops(levels, l)[0] for c, l in zip(coeffs, levels))
+        assert np.allclose(g.weighted_raise(coeffs), want, rtol=0, atol=1e-13)
+        coeffs = 2.0 * model.v2[levels, outside]
+        want = sum(c * pattern_ops(levels, l)[1] for c, l in zip(coeffs, levels))
+        assert np.allclose(g.weighted_number(coeffs), want, rtol=0, atol=1e-13)
+    for kind, weighted in enumerate((g.weighted_raise, g.weighted_number)):
+        span = g.modes[kind].span
+        beyond = np.linalg.svd(span, full_matrices=True)[0][:, -1]
+        with pytest.raises(InvariantViolation):
+            weighted(beyond)
 
 
 def test_grown_block_stores_less_than_materialized():
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
     core = explicit_block(model, [0, 1, 2])
     g = GrownBlock(core, [3], model)
-    # exactly h plus the core's shared explicit operators; core.h is dropped
-    assert g.stored_entries() == g.h.size + 2 * 3 * core.dim**2
-    assert all(a is b for a, b in zip(g.raise_ops, core.raise_ops))
+    # exactly h plus the explicit part of one raise mode; core.h is dropped
+    assert mode_counts(core) == mode_counts(g) == (1, 0)
+    assert g.stored_entries() == g.h.size + core.dim**2
     assert g.stored_entries() < g.h.size + 2 * len(g.levels) * g.dim**2
 
 
@@ -240,8 +268,15 @@ def test_grow_block_rejects_duplicate_level():
 def test_per_level_entry_convention():
     model = toy_model()
     b = explicit_block(model, [0, 1])  # 2 levels, dim 4, kept by truncation
-    assert b.per_level_entries() == 3 * 2 * 16
-    assert b.stored_entries() == 16 + 2 * 16 + 2 * 16  # h plus 2 ops per level
+    # one raise mode: creation and annihilation
+    assert b.per_level_entries() == 2 * 16
+    assert b.stored_entries() == 16 + 16  # h plus the mode
+    model = random_model(np.random.default_rng(4), 6)
+    b = explicit_block(model, [0, 1])
+    # two raise and two number modes: 2 * 2 + 2 operators of 4 x 4
+    assert mode_counts(b) == (2, 2)
+    assert b.per_level_entries() == (2 * 2 + 2) * 16
+    assert b.stored_entries() == 16 + 4 * 16
 
 
 def test_target_pairs():
@@ -397,8 +432,8 @@ def test_blocked_superblock_matches_kronecker_products(n, seed, data):
     for side in (levels[:split], levels[split:]):
         n_bare = data.draw(st.integers(0, min(2, len(side))), label="bare levels")
         blocks.append(random_block(model, side, n_bare, rng))
-    hole, particle = blocks
-    h = kronecker_superblock(hole, particle, model)
+    (hole, hole_basis), (particle, particle_basis) = blocks
+    h = kronecker_superblock(hole, hole_basis, particle, particle_basis, model)
     config = DmrgConfig(m=2, total_pairs=0, superblock_tol=1e-12)
     for target in range(n + 1):
         mask = np.add.outer(hole.sectors, particle.sectors).ravel() == target
@@ -419,16 +454,99 @@ def test_blocked_superblock_matches_kronecker_products(n, seed, data):
 def test_truncation_projects_level_operators(n_explicit, n_bare):
     rng = np.random.default_rng(10 * n_explicit + n_bare)
     model = random_model(rng, 6)
-    block = random_block(model, [4, 0, 5, 2, 1][: n_explicit + n_bare], n_bare, rng)
+    levels = [4, 0, 5, 2, 1][: n_explicit + n_bare]
+    block, basis = random_block(model, levels, n_bare, rng)
     assert block.n_bare == n_bare
     rho, rank = sector_pure_density(block, rng)
     new, _, w = _truncate_with_basis(block, rho, rank)
     assert new.levels == block.levels and new.n_bare == 0
-    for i, level in enumerate(block.levels):
-        want = w.T @ block.raise_op(level) @ w
-        assert np.allclose(new.raise_ops[i], want, rtol=0, atol=1e-13)
-        want = w.T @ block.number_op(level) @ w
-        assert np.allclose(new.number_ops[i], want, rtol=0, atol=1e-13)
+    assert mode_counts(new) == mode_counts(block)
+    for kind, ops in enumerate(level_ops(levels, basis @ w)):
+        span = block.modes[kind].span
+        assert np.array_equal(new.modes[kind].span, span)
+        want = np.tensordot(span.T, ops, 1)
+        assert np.allclose(new.modes[kind].ops, want, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 10),
+    kind=st.sampled_from(["general", *FamilyKind]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_modes_reproduce_outside_couplings(n, kind, seed, data):
+    # a block over a random part of the levels, its core truncated by a
+    # sector-pure density, forms every coupling to a level outside it
+    # exactly, and nothing outside its modes
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        model = random_model(rng, n)
+    else:
+        model = integrable_model(rng, max(n, 2), kind)
+    levels = [int(x) for x in rng.permutation(model.n_levels)]
+    split = data.draw(st.integers(0, len(levels)), label="block levels")
+    n_bare = data.draw(st.integers(0, min(2, split)), label="bare levels")
+    block, basis = random_block(model, levels[:split], n_bare, rng)
+    ops = level_ops(block.levels, basis)
+    outside = levels[split:]
+    for mode, weighted, v in (
+        (0, block.weighted_raise, model.v1), (1, block.weighted_number, 2.0 * model.v2)
+    ):
+        r = mode_counts(block)[mode]
+        assert r <= min(split, len(outside))
+        for o in outside:
+            coeffs = v[block.levels, o]
+            want = np.tensordot(coeffs, ops[mode], 1)
+            assert np.allclose(weighted(coeffs), want, rtol=0, atol=1e-12)
+        if r < split:
+            span = block.modes[mode].span
+            beyond = rng.normal(size=split)
+            beyond -= span @ (span.T @ beyond)
+            with pytest.raises(InvariantViolation):
+                weighted(beyond)
+
+
+def record_truncations(monkeypatch):
+    """Collect (grown, truncated) block pairs from the runs that follow."""
+    seen = []
+    real = dmrg._truncate_with_basis
+
+    def spy(block, rho, m):
+        out = real(block, rho, m)
+        seen.append((block, out[0]))
+        return out
+
+    monkeypatch.setattr(dmrg, "_truncate_with_basis", spy)
+    return seen
+
+
+def test_reduced_bcs_blocks_keep_one_raise_mode(monkeypatch):
+    # the constant coupling has rank 1 and there is no monopole term
+    seen = record_truncations(monkeypatch)
+    model = build_reduced_bcs(np.arange(1.0, 41.0), 0.3)
+    m = 32
+    result = run_infinite(model, DmrgConfig(m=m, total_pairs=20))
+    assert len(seen) == 2 * 20
+    for grown, kept in seen:
+        assert mode_counts(grown) == mode_counts(kept) == (1, 0)
+    # one m x m raise mode per block, creation plus annihilation
+    assert result.per_level_peak_entries == 4 * m**2
+
+
+def test_general_blocks_keep_at_most_their_coupling_rank(monkeypatch):
+    seen = record_truncations(monkeypatch)
+    rng = np.random.default_rng(12)
+    for n in (4, 8, 12):
+        model = random_model(rng, n)
+        for pairs in (1, n // 2, n - 1):
+            seen.clear()
+            run_infinite(model, DmrgConfig(m=8, total_pairs=pairs))
+            assert len(seen) == n
+            for grown, kept in seen:
+                size = len(grown.levels)
+                for block in (grown, kept):
+                    assert max(mode_counts(block)) <= min(size, n - size)
 
 
 def test_reduced_density_product_state():
