@@ -19,10 +19,12 @@ modes from the core's and the new bare levels', and the superblock
 coupling is U_h^T v U_p.  No hot loop builds a per-level Kronecker product:
 growth sums along the coupling first, truncation projects through reshapes
 of the kept-state matrix, and the superblock matvec runs over the
-(s, t - s) pair-sector blocks of its target sector t.  A grown block drops
-the core Hamiltonian.  Stored mode entries, counted in the 3-per-level
-convention as two per raise mode and one per number mode, stay within
-3*m^2*N for every m >= 2; the two block Hamiltonians add at most
+(s, t - s) pair-sector blocks of its target sector t, each in the
+eigenbasis of its two block Hamiltonians, whose diagonal preconditions
+the Davidson solve.  A grown block drops the core Hamiltonian.  Stored
+mode entries, counted in the 3-per-level convention as two per raise
+mode and one per number mode, stay within 3*m^2*N for every m >= 2;
+the two block Hamiltonians add at most
 (4m)^2 + m^2 entries (only one side grows by two levels in an iteration,
 and then the other does not grow).  Solver work arrays are accounted
 separately.
@@ -45,7 +47,7 @@ from .errors import (
     NotNormalized,
     OddN,
 )
-from .exactdiag import check_solver_args, lowest_eigenpairs
+from .exactdiag import check_solver_args, eigensolver_entries, lowest_eigenpairs
 from .model import PairingModel
 
 #: One level's pair creation and number operator, indexed by mode kind.
@@ -242,7 +244,15 @@ class GrownBlock(Block):
 
 @dataclass(frozen=True)
 class DmrgConfig:
-    """Run parameters: kept states m, target pair number, solver knobs."""
+    """Run parameters: kept states m, target pair number, solver knobs.
+
+    A superblock sector above 64 states is solved by Davidson's method,
+    which stops at ``||H x - E x|| <= superblock_tol * |E|``;
+    ``max_superblock_iters`` caps its steps, one matvec each (default ten
+    times the sector dimension), and a solve that runs out raises
+    NoConvergence with its last estimate and residual.  ``seed`` draws the
+    perturbation of the start vector of solves without a warm start.
+    """
 
     m: int
     total_pairs: int
@@ -329,86 +339,99 @@ class _Superblock:
     between the two blocks' modes, giving one composite operator pair per
     retained singular value (rank 1 for constant pairing).  The target
     sector t splits into blocks (s, t - s) of hole sector s and particle
-    sector t - s, one for each s present on both sides, and every operator
-    is kept only as its sub-blocks on those sectors: block Hamiltonians and
-    number terms within a block, pair hops between blocks s and s + 1.  A
-    matvec is a sum of small products over the blocks and forms no dense
-    dh x dp state.  The vector holds the target entries of the dh x dp
-    product space in row-major order.
+    sector t - s, one for each s present on both sides.  Each block works
+    in the eigenbasis of its two block-Hamiltonian sub-blocks, where
+    ``hh_s (x) 1 + 1 (x) hp_s`` is the elementwise product with
+    ``D_s = e_h[:, None] + e_p[None, :]``; the number terms within a block
+    and the pair hops between blocks s and s + 1 are rotated into those
+    bases once, at construction.  A matvec is a sum of small products over
+    the blocks and forms no dense dh x dp state.  The vector holds the
+    blocks in order of s, each row-major; ``embed`` and ``restrict`` rotate
+    to and from the dh x dp product space, and ``diagonal`` is D.
     """
 
     def __init__(self, hole, particle, model: PairingModel, target: int):
         self.dh, self.dp = hole.dim, particle.dim
-        mask = np.add.outer(hole.sectors, particle.sectors) == target
-        self.flat_idx = np.flatnonzero(mask.ravel())
-        if len(self.flat_idx) == 0:
+        secs = [s for s in np.unique(hole.sectors) if target - s in particle.sectors]
+        if not secs:
             raise EmptySector(
                 f"no states with {target} pairs in a "
                 f"{self.dh}x{self.dp} superblock"
             )
-        secs = [s for s in np.unique(hole.sectors) if target - s in particle.sectors]
         hs = [np.flatnonzero(hole.sectors == s) for s in secs]
         ps = [np.flatnonzero(particle.sectors == target - s) for s in secs]
-        self.blocks = [
-            (
-                np.searchsorted(self.flat_idx, h[:, None] * self.dp + p),
-                hole.h[np.ix_(h, h)],
-                particle.h[np.ix_(p, p)],
-            )
-            for h, p in zip(hs, ps)
+        eh, uh = zip(*(np.linalg.eigh(hole.h[np.ix_(h, h)]) for h in hs))
+        ep, up = zip(*(np.linalg.eigh(particle.h[np.ix_(p, p)]) for p in ps))
+        self.blocks = list(zip(hs, ps, uh, up))
+        self.diagonal = np.concatenate([np.add.outer(a, b).ravel() for a, b in zip(eh, ep)])
+        ends = np.cumsum([len(h) * len(p) for h, p in zip(hs, ps)])
+        self._slices = [
+            (slice(end - len(h) * len(p), end), (len(h), len(p)))
+            for end, h, p in zip(ends, hs, ps)
         ]
         hops = [k for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
         ix = np.ix_(list(hole.levels), list(particle.levels))
         self.raise_terms = [
-            [(k, a[np.ix_(hs[k + 1], hs[k])], c[np.ix_(ps[k], ps[k + 1])])
+            [(k, uh[k + 1].T @ a[np.ix_(hs[k + 1], hs[k])] @ uh[k],
+              up[k].T @ c[np.ix_(ps[k], ps[k + 1])] @ up[k + 1])
              for k in hops]
             for a, c in _factor(hole, particle, model.v1[ix], _RAISE)
         ]
         self.number_terms = [
-            [(d[np.ix_(h, h)], e[np.ix_(p, p)]) for h, p in zip(hs, ps)]
+            [(u.T @ d[np.ix_(h, h)] @ u, v.T @ e[np.ix_(p, p)] @ v)
+             for h, p, u, v in self.blocks]
             for d, e in _factor(hole, particle, 2.0 * model.v2[ix], _NUMBER)
         ]
 
     @property
     def sector_dim(self) -> int:
-        return len(self.flat_idx)
+        return len(self.diagonal)
 
     def work_entries(self) -> int:
-        """Entries held for the solve: the sector blocks and their indices,
-        the gathered, result and output vectors of a matvec and its largest
-        product temporary, and 22 sector vectors of eigensolver space."""
-        held = sum(i.size + hh.size + hp.size for i, hh, hp in self.blocks)
+        """Entries held for the solve: the sector eigenbases and their
+        index arrays, D, the rotated number and hop sub-blocks, one
+        matvec's result and its two largest product temporaries, and the
+        eigensolver's own arrays (``eigensolver_entries``)."""
+        held = sum(h.size + p.size + u.size + v.size for h, p, u, v in self.blocks)
         held += sum(a.size + c.size for t in self.raise_terms for _, a, c in t)
         held += sum(d.size + e.size for t in self.number_terms for d, e in t)
-        rows = max(i.shape[0] for i, _, _ in self.blocks)
-        cols = max(i.shape[1] for i, _, _ in self.blocks)
-        return held + rows * cols + 25 * self.sector_dim
+        largest = max(len(h) * len(p) for h, p, _, _ in self.blocks)
+        n = self.sector_dim
+        return held + 2 * n + 2 * largest + eigensolver_entries(n)
+
+    def _split(self, x: np.ndarray):
+        return [x[i].reshape(shape) for i, shape in self._slices]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        xs = [x[i] for i, _, _ in self.blocks]
-        ys = [hh @ b + b @ hp for b, (_, hh, hp) in zip(xs, self.blocks)]
+        xs = self._split(x)
+        y = self.diagonal * x
+        ys = self._split(y)
         for term in self.number_terms:
-            for y, b, (d, e) in zip(ys, xs, term):
-                y += d @ b @ e
+            for yk, b, (d, e) in zip(ys, xs, term):
+                yk += d @ b @ e
         for term in self.raise_terms:
             for k, a, c in term:
                 ys[k + 1] += a @ xs[k] @ c
                 ys[k] += a.T @ xs[k + 1] @ c.T
-        out = np.empty(len(x))
-        for (i, _, _), y in zip(self.blocks, ys):
-            out[i] = y
-        return out
+        return y
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.dh * self.dp)
-        psi[self.flat_idx] = x
-        return psi.reshape(self.dh, self.dp)
+        psi = np.zeros((self.dh, self.dp))
+        for (h, p, u, v), b in zip(self.blocks, self._split(x)):
+            psi[np.ix_(h, p)] = u @ b @ v.T
+        return psi
 
     def restrict(self, psi: np.ndarray) -> np.ndarray:
-        return psi.ravel()[self.flat_idx]
+        psi = np.reshape(psi, (self.dh, self.dp))
+        return np.concatenate(
+            [(u.T @ psi[np.ix_(h, p)] @ v).ravel() for h, p, u, v in self.blocks]
+        )
 
 
 def _solve_superblock(hole, particle, model, target, config, guess=None):
+    """Ground state of the superblock, its solve's work entries, and its
+    solver record: matvecs, residual ||H psi - E0 psi|| and the overlap
+    |<v0|psi>| of the normalized guess (0 without one)."""
     op = _Superblock(hole, particle, model, target)
     v0 = None
     if guess is not None and guess.shape == (op.dh, op.dp):
@@ -416,15 +439,22 @@ def _solve_superblock(hole, particle, model, target, config, guess=None):
         norm = np.linalg.norm(g)
         if norm > 1e-8:
             v0 = g / norm
-    energies, vectors, _ = lowest_eigenpairs(
+    pairs = lowest_eigenpairs(
         op.matvec,
         op.sector_dim,
         tol=config.superblock_tol,
         v0=v0,
         seed=config.seed,
         maxiter=config.max_superblock_iters,
+        diagonal=op.diagonal,
     )
-    return float(energies[0]), op.embed(vectors[:, 0]), op.work_entries()
+    psi = pairs.vectors[:, 0]
+    record = {
+        "residual": pairs.residual,
+        "warm_start_overlap": 0.0 if v0 is None else float(abs(v0 @ psi)),
+        "matvecs": pairs.matvecs,
+    }
+    return float(pairs.energies[0]), op.embed(psi), op.work_entries(), record
 
 
 def superblock_ground(hole, particle, model: PairingModel, target: int, config: DmrgConfig, guess=None):
@@ -434,7 +464,7 @@ def superblock_ground(hole, particle, model: PairingModel, target: int, config: 
     support lies entirely in the target sector.  E0 is a variational upper
     bound for the levels the two blocks represent.
     """
-    e0, psi, _ = _solve_superblock(hole, particle, model, target, config, guess)
+    e0, psi, _, _ = _solve_superblock(hole, particle, model, target, config, guess)
     return e0, psi
 
 
@@ -511,6 +541,12 @@ def truncate(block, rho: np.ndarray, m: int):
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: its superblock, energy and truncation, and its solve
+    as the eigensolver reports it: superblock matvecs (Davidson steps, or
+    the dense build's columns), the residual ||H psi - E0 psi|| and the
+    overlap |<v0|psi>| of the warm-start guess (0 when the solve had
+    none)."""
+
     iteration: int
     levels_in_superblock: int
     target_pairs: int
@@ -519,6 +555,9 @@ class IterationRecord:
     trunc_weight_particle: float
     dim_hole: int
     dim_particle: int
+    matvecs: int
+    residual: float
+    warm_start_overlap: float
 
 
 @dataclass(frozen=True)
@@ -566,9 +605,10 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
         grown = _entries(hole, particle)
         guess = None
         if psi is not None and len(new_h) == len(new_p) == 1:
-            guess = _embed_guess(psi, w_hole, w_part, target - records[-1].target_pairs)
+            delta = target - records[-1].target_pairs
+            guess = _embed_guess(psi, w_hole, w_part, model, new_h[0], new_p[0], delta)
         try:
-            e0, psi, solve_work = _solve_superblock(
+            e0, psi, solve_work, solve = _solve_superblock(
                 hole, particle, model, target, config, guess
             )
         except (NoConvergence, EmptySector) as exc:
@@ -594,6 +634,7 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
                 trunc_weight_particle=wp,
                 dim_hole=hole.dim,
                 dim_particle=particle.dim,
+                **solve,
             )
         )
     return DmrgResult(
@@ -617,19 +658,24 @@ def _entries(hole, particle):
     )
 
 
-def _embed_guess(prev_psi, w_hole, w_part, delta):
+def _embed_guess(prev_psi, w_hole, w_part, model, level_h, level_p, delta):
     """Carry the previous ground state into the next superblock.
 
-    The truncated state is re-expanded over the two fresh levels with the
-    pair distribution that supplies the target increment: both new levels
-    empty (delta 0), one pair shared equally (1), or both occupied (2).
+    The truncated state is re-expanded over the fresh hole level ``level_h``
+    and particle level ``level_p`` with their exact local ground state at
+    the pair count that supplies the target increment: both empty (delta
+    0), both occupied (2), or one pair in the ground state of
+    ``[[2 eps_h, v1_hp], [v1_hp, 2 eps_p]]`` over (hole occupied,
+    particle occupied) (1).
     """
     core = w_hole.T @ prev_psi @ w_part
     chi = np.zeros((2, 2))
     if delta == 0:
         chi[0, 0] = 1.0
     elif delta == 1:
-        chi[0, 1] = chi[1, 0] = 1.0 / np.sqrt(2.0)
+        eps, hop = model.eps, model.v1[level_h, level_p]
+        local = [[2.0 * eps[level_h], hop], [hop, 2.0 * eps[level_p]]]
+        chi[1, 0], chi[0, 1] = np.linalg.eigh(local)[1][:, 0]
     else:
         chi[1, 1] = 1.0
     guess = np.einsum("ab,su->asbu", core, chi)
@@ -640,13 +686,15 @@ def history_csv(result: DmrgResult) -> str:
     """Per-iteration convergence table, 17-significant-digit floats."""
     lines = [
         "iteration,levels_in_superblock,target_pairs,E0,"
-        "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle"
+        "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle,"
+        "matvecs,residual,warm_start_overlap"
     ]
     for r in result.iterations:
         lines.append(
             f"{r.iteration},{r.levels_in_superblock},{r.target_pairs},"
             f"{r.e0:.17g},{r.trunc_weight_hole:.17g},"
-            f"{r.trunc_weight_particle:.17g},{r.dim_hole},{r.dim_particle}"
+            f"{r.trunc_weight_particle:.17g},{r.dim_hole},{r.dim_particle},"
+            f"{r.matvecs},{r.residual:.17g},{r.warm_start_overlap:.17g}"
         )
     return "\n".join(lines) + "\n"
 

@@ -4,13 +4,14 @@ Provides a matrix-free Hamiltonian action over a PairBasis (one scatter,
 one small dense product and one gather per application), a dense
 full-spectrum solver for small sectors (the verification oracle), an
 iterative ground-state solver for large ones, and lowest_eigenpairs, the
-eigensolver entry point that the DMRG superblock solve shares.
+eigensolver entry point that the DMRG superblock solve shares: ARPACK, or
+a diagonal-preconditioned Davidson when the operator's diagonal is given.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +32,15 @@ DENSE_THRESHOLD = 4000
 
 #: lowest_eigenpairs diagonalizes operators up to this size densely.
 _DENSE_FALLBACK_DIM = 64
+
+#: Davidson subspace size at which it restarts from its Ritz vector.
+_DAVIDSON_CAP = 24
+
+#: Floor on |diagonal - theta| in the Davidson correction.
+_DAVIDSON_FLOOR = 1e-2
+
+#: Size of the random part of a Davidson start vector without a guess.
+_DAVIDSON_START_NOISE = 1e-2
 
 #: States per step when the diagonal and slot table are built.
 _CHUNK = 1 << 16
@@ -204,14 +214,29 @@ def check_solver_args(tol: float, seed: int):
         raise InvariantViolation(f"seed must be nonnegative, got {seed}")
 
 
-def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
+class Eigenpairs(NamedTuple):
+    """What lowest_eigenpairs found: energies ascending, eigenvectors as
+    columns, "dense" or "iterative", the worst ||H x - theta x|| over the
+    pairs, and the matvecs the solve spent."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    method: str
+    residual: float
+    matvecs: int
+
+
+def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, diagonal=None):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
-    Returns (energies ascending, eigenvectors as columns, "dense" or
-    "iterative").  Up to the dense fallback size, or with k > n - 2, the
-    matrix is built column by column and diagonalized; otherwise ARPACK
-    starts from ``v0`` or a normal vector drawn from ``seed``, with
-    ``tol`` relative to its spectral scale estimate.  NoConvergence
+    Up to the dense fallback size, or with k > n - 2, the matrix is built
+    column by column and diagonalized.  Otherwise, given the operator's
+    ``diagonal`` and k = 1, Davidson's method runs from ``v0`` or from the
+    lowest-diagonal unit vector plus a perturbation drawn from ``seed``,
+    and ``maxiter`` caps its steps, one matvec each.  Without a diagonal,
+    ARPACK starts from ``v0`` or a normal vector drawn from ``seed``,
+    ``maxiter`` caps its restarts, and k more matvecs give the residual.
+    Both stop at ``||H x - theta x|| <= tol * |theta|``.  NoConvergence
     carries the settled energies, ascending, and their worst residual.
     """
     if not 1 <= k <= n:
@@ -228,11 +253,28 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
         # Householder signs; dense_matrix holds +0.0 there
         h += 0.0
         energies, vectors = scipy.linalg.eigh(h)
-        return energies[:k], vectors[:, :k], "dense"
+        energies, vectors = energies[:k], vectors[:, :k]
+        residual = float(np.linalg.norm(h @ vectors - vectors * energies, axis=0).max())
+        return Eigenpairs(energies, vectors, "dense", residual, n)
+    if diagonal is not None and k == 1:
+        if v0 is None:
+            v0 = _DAVIDSON_START_NOISE * np.random.default_rng(seed).standard_normal(n)
+            v0[np.argmin(diagonal)] += 1.0
+        energy, vector, residual, steps = _davidson(
+            matvec, diagonal, v0, tol, maxiter or 10 * n
+        )
+        return Eigenpairs(np.array([energy]), vector[:, None], "iterative", residual, steps)
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(n)
         v0 /= np.linalg.norm(v0)
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return matvec(x)
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=float)
     try:
         energies, vectors = scipy.sparse.linalg.eigsh(
             op, k=k, which="SA", tol=tol, v0=v0, maxiter=maxiter
@@ -248,7 +290,63 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None):
             energies=best,
             residual=residual,
         ) from None
-    return (*_ascending(energies, vectors), "iterative")
+    energies, vectors = _ascending(energies, vectors)
+    residual = _residual(counted, energies, vectors)
+    return Eigenpairs(energies, vectors, "iterative", residual, calls)
+
+
+def eigensolver_entries(n: int) -> int:
+    """Entries a k = 1 lowest_eigenpairs solve with a diagonal holds beyond
+    its operator: the dense matrix up to the fallback size, otherwise the
+    Davidson subspace and its image, their projected matrix and the
+    vectors x, Hx, r and t."""
+    if n <= _DENSE_FALLBACK_DIM:
+        return n * n
+    return (2 * _DAVIDSON_CAP + 4) * n + _DAVIDSON_CAP**2
+
+
+def _davidson(matvec, diagonal, v0, tol, maxiter):
+    """Lowest eigenpair by Davidson's method from v0: theta, x, the norm
+    of the residual r = Hx - theta x, and the steps taken.
+
+    Each step adds the correction r / max(|diagonal - theta|, floor),
+    orthogonalized twice against the subspace, and takes one matvec.  A
+    full subspace restarts from its Ritz vector, whose image it keeps, so
+    a restart costs no matvec.  Stops like ARPACK, at
+    ||r|| <= tol * max(|theta|, eps^(2/3)).
+    """
+    n = len(v0)
+    basis = np.empty((_DAVIDSON_CAP, n))
+    image = np.empty((_DAVIDSON_CAP, n))
+    proj = np.empty((_DAVIDSON_CAP, _DAVIDSON_CAP))
+    scale = np.finfo(float).eps ** (2.0 / 3.0)
+    t = v0 / np.linalg.norm(v0)
+    j = 0
+    for step in range(1, maxiter + 1):
+        basis[j] = t
+        image[j] = matvec(t)
+        proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ image[j]
+        j += 1
+        vals, vecs = scipy.linalg.eigh(proj[:j, :j], subset_by_index=(0, 0))
+        theta, y = vals[0], vecs[:, 0]
+        x, hx = y @ basis[:j], y @ image[:j]
+        r = hx - theta * x
+        norm = float(np.linalg.norm(r))
+        if norm <= tol * max(abs(theta), scale):
+            return float(theta), x, norm, step
+        if j == _DAVIDSON_CAP:
+            basis[0], image[0], proj[0, 0] = x, hx, theta
+            j = 1
+        t = r / np.maximum(np.abs(diagonal - theta), _DAVIDSON_FLOOR)
+        for _ in range(2):
+            t -= (basis[:j] @ t) @ basis[:j]
+        t /= np.linalg.norm(t)
+    raise NoConvergence(
+        f"eigensolver did not converge within {maxiter} steps "
+        f"(residual {norm:.3e} against {tol * max(abs(theta), scale):.3e})",
+        energies=np.array([theta]),
+        residual=norm,
+    )
 
 
 def dense_spectrum(
@@ -291,16 +389,16 @@ def iterative_ground(
     the full dimension for the iteration to run) are solved densely.
     """
     action = HamiltonianAction(model, basis)
-    energies, vectors, method = lowest_eigenpairs(
+    pairs = lowest_eigenpairs(
         action.apply, basis.dim, k, tol=tol, seed=seed, maxiter=max_iterations
     )
     return SpectrumResult(
-        energies=energies,
-        residual=_residual(action.apply, energies, vectors),
-        method=method,
+        energies=pairs.energies,
+        residual=pairs.residual,
+        method=pairs.method,
         n_levels=basis.n_levels,
         n_pairs=basis.n_pairs,
-        ground_vector=vectors[:, 0].copy(),
+        ground_vector=pairs.vectors[:, 0].copy(),
     )
 
 

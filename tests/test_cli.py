@@ -310,7 +310,14 @@ def test_dmrg_on_toy(toy_path, tmp_path, capsys):
     history = (tmp_path / "run.history.csv").read_text()
     lines = history.splitlines()
     assert lines[0].startswith("iteration,levels_in_superblock,target_pairs,E0,")
+    assert lines[0].endswith(",dim_particle,matvecs,residual,warm_start_overlap")
     assert len(lines) == 3
+    for line in lines[1:]:
+        matvecs, residual, overlap = line.split(",")[8:]
+        # the toy's superblocks are solved densely: one matvec per column
+        assert int(matvecs) >= 2
+        assert 0.0 <= float(residual) <= 1e-10 * abs(float(line.split(",")[3]))
+        assert 0.0 <= float(overlap) <= 1.0 + 1e-12
     text = capsys.readouterr().out
     assert "iterations: 2" in text
 
@@ -330,7 +337,7 @@ def test_dmrg_custom_history_path(toy_path, tmp_path):
         ]
     )
     assert code == 0
-    assert hist.exists()
+    assert hist.read_text().splitlines()[0].endswith(",matvecs,residual,warm_start_overlap")
 
 
 def test_dmrg_odd_levels(tmp_path, capsys):

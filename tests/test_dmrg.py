@@ -32,7 +32,7 @@ from pairsolve import (
     target_pairs,
     truncate,
 )
-from pairsolve import dmrg
+from pairsolve import dmrg, exactdiag
 from pairsolve.dmrg import (
     DimensionMismatch,
     Modes,
@@ -415,6 +415,77 @@ def test_superblock_reports_non_convergence():
         superblock_ground(hole, particle, model, 6, config)
 
 
+def test_solve_record_reports_matvecs_residual_and_overlap():
+    model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
+    hole = exact_block(model, [5, 4, 3, 2, 1, 0])
+    particle = exact_block(model, [6, 7, 8, 9, 10, 11])
+    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-4)
+    e0, psi, _, cold = dmrg._solve_superblock(hole, particle, model, 6, config)
+    op = _Superblock(hole, particle, model, 6)
+    x = op.restrict(psi)
+    assert cold["residual"] == pytest.approx(np.linalg.norm(op.matvec(x) - e0 * x), rel=1e-8)
+    assert 0.0 < cold["residual"] <= config.superblock_tol * abs(e0)
+    assert cold["warm_start_overlap"] == 0.0
+    # started from the exact ground state: one Davidson step, at overlap 1
+    vals, vecs = np.linalg.eigh(np.array([op.matvec(e) for e in np.eye(op.sector_dim)]))
+    guess = -3.0 * op.embed(vecs[:, 0])
+    e_warm, _, _, warm = dmrg._solve_superblock(hole, particle, model, 6, config, guess)
+    assert warm["matvecs"] == 1 < cold["matvecs"]
+    assert warm["warm_start_overlap"] == pytest.approx(1.0, abs=1e-12)
+    assert e_warm == pytest.approx(vals[0], rel=1e-14)
+    mixed = op.embed(0.6 * vecs[:, 0] + 0.8 * vecs[:, 1])
+    _, _, _, record = dmrg._solve_superblock(hole, particle, model, 6, config, mixed)
+    assert record["warm_start_overlap"] == pytest.approx(0.6, abs=1e-4)
+
+
+def test_non_convergence_carries_best_estimate_and_iteration():
+    # the case above: one Davidson step from the lowest-diagonal start
+    # leaves that vector's Rayleigh quotient and residual
+    model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
+    hole = exact_block(model, [5, 4, 3, 2, 1, 0])
+    particle = exact_block(model, [6, 7, 8, 9, 10, 11])
+    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15, max_superblock_iters=1)
+    with pytest.raises(NoConvergence) as exc:
+        superblock_ground(hole, particle, model, 6, config)
+    op = _Superblock(hole, particle, model, 6)
+    noise = exactdiag._DAVIDSON_START_NOISE
+    v0 = noise * np.random.default_rng(config.seed).standard_normal(op.sector_dim)
+    v0[np.argmin(op.diagonal)] += 1.0
+    v0 /= np.linalg.norm(v0)
+    hv = op.matvec(v0)
+    theta = v0 @ hv
+    assert exc.value.energies.tolist() == [pytest.approx(theta, rel=1e-13)]
+    assert exc.value.residual == pytest.approx(np.linalg.norm(hv - theta * v0), rel=1e-10)
+    # from the start, iterations 1-3 solve sectors of dim <= 64 densely and
+    # iteration 4 (dim 70) is the first Davidson solve
+    with pytest.raises(NoConvergence) as exc:
+        run_infinite(model, config)
+    err = exc.value
+    assert str(err).startswith("iteration 4: eigensolver did not converge within 1 steps")
+    assert len(err.energies) == 1
+    op = _Superblock(exact_block(model, [5, 4, 3, 2]), exact_block(model, [6, 7, 8, 9]), model, 4)
+    exact = np.linalg.eigvalsh(np.array([op.matvec(e) for e in np.eye(op.sector_dim)]))[0]
+    assert op.sector_dim == 70 and err.energies[0] >= exact
+    assert err.residual > config.superblock_tol * abs(err.energies[0])
+
+
+def test_embed_guess_uses_the_local_ground_state():
+    # one kept state per side: the guess is the two new levels' state alone
+    model = PairingModel(
+        eps=np.array([0.0, -1.0, 2.0]),
+        v1=np.array([[0.0, 0.3, 0.2], [0.3, 0.0, -0.7], [0.2, -0.7, 0.0]]),
+        v2=np.full((3, 3), 0.4) - 0.4 * np.eye(3),
+    )
+    one = np.ones((1, 1))
+    vecs = np.linalg.eigh([[-2.0, -0.7], [-0.7, 4.0]])[1]
+    guess = dmrg._embed_guess(one, one, one, model, 1, 2, 1)
+    assert abs(guess[1, 0]) > abs(guess[0, 1])
+    assert abs(guess[1, 0] * vecs[0, 0] + guess[0, 1] * vecs[1, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert guess[0, 0] == guess[1, 1] == 0.0
+    assert dmrg._embed_guess(one, one, one, model, 1, 2, 0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert dmrg._embed_guess(one, one, one, model, 1, 2, 2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(
     n=st.integers(1, 10),
@@ -423,9 +494,16 @@ def test_superblock_reports_non_convergence():
 )
 def test_blocked_superblock_matches_kronecker_products(n, seed, data):
     # random level splits, sectors missing on either side, every target;
-    # sector dims <= 64 take the eigensolver's dense path, larger ones ARPACK
+    # sector dims <= 64 take the eigensolver's dense path, larger ones the
+    # Davidson iteration in the block-Hamiltonian eigenbasis.  Every example
+    # checks the general model and, for n >= 2, each integrable family.
     rng = np.random.default_rng(seed)
-    model = random_model(rng, n)
+    for kind in ["general", *FamilyKind][: 1 if n == 1 else None]:
+        model = random_model(rng, n) if kind == "general" else integrable_model(rng, n, kind)
+        _check_blocked_superblock(model, n, rng, data)
+
+
+def _check_blocked_superblock(model, n, rng, data):
     levels = [int(x) for x in rng.permutation(n)]
     split = data.draw(st.integers(0, n), label="hole levels")
     blocks = []
@@ -445,9 +523,19 @@ def test_blocked_superblock_matches_kronecker_products(n, seed, data):
         x = rng.normal(size=op.sector_dim)
         want = op.restrict(h @ op.embed(x).ravel())
         assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
-        exact = np.linalg.eigvalsh(h[np.ix_(mask, mask)])[0]
-        e0, _ = superblock_ground(hole, particle, model, target, config)
+        sector = h[np.ix_(mask, mask)]
+        exact = np.linalg.eigvalsh(sector)[0]
+        e0, psi = superblock_ground(hole, particle, model, target, config)
         assert e0 == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        # the iterative stopping rule, on the operator the solver saw (the
+        # matvec check above ties it to the reference); a dense solve has
+        # eigh's backward error, within LAPACK's test threshold of 30 n eps |H|
+        bound = config.superblock_tol * abs(e0)
+        if op.sector_dim <= 64:
+            scale = op.sector_dim * np.finfo(float).eps * np.linalg.norm(sector, 2)
+            bound = max(bound, 30.0 * scale)
+        x = op.restrict(psi)
+        assert np.linalg.norm(op.matvec(x) - e0 * x) <= bound
 
 
 @pytest.mark.parametrize("n_explicit,n_bare", [(3, 0), (3, 1), (2, 2), (0, 2)])
@@ -786,6 +874,11 @@ def test_untruncated_runs_equal_exact_diagonalization(n, kind, seed, data):
     result = run_infinite(model, DmrgConfig(m=2**n, total_pairs=pairs))
     exact = dense_spectrum(model, enumerate_basis(n, pairs)).energies[0]
     assert result.final_energy == pytest.approx(exact, rel=1e-10, abs=1e-10)
+    # untruncated superblocks are strongly coupled in the block eigenbasis,
+    # where a correction that does not floor |D - theta| stagnates
+    for rec in result.iterations:
+        sector_dim = math.comb(rec.levels_in_superblock, rec.target_pairs)
+        assert rec.matvecs <= 3 * sector_dim
 
 
 def test_history_csv_format():
@@ -795,7 +888,8 @@ def test_history_csv_format():
     lines = text.splitlines()
     assert lines[0] == (
         "iteration,levels_in_superblock,target_pairs,E0,"
-        "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle"
+        "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle,"
+        "matvecs,residual,warm_start_overlap"
     )
     assert len(lines) == 1 + len(res.iterations)
     assert text.endswith("\n")
@@ -803,6 +897,14 @@ def test_history_csv_format():
     assert first[0] == "1"
     # 17 significant digits round-trip exactly
     assert float(first[3]) == res.iterations[0].e0
+    for line, rec in zip(lines[1:], res.iterations):
+        matvecs, residual, overlap = line.split(",")[8:]
+        assert int(matvecs) == rec.matvecs > 0
+        assert float(residual) == rec.residual
+        assert float(overlap) == rec.warm_start_overlap
+    # the first iteration has no guess; the second is warm-started
+    assert res.iterations[0].warm_start_overlap == 0.0
+    assert 0.0 < res.iterations[1].warm_start_overlap <= 1.0 + 1e-12
 
 
 def test_summary_dict_keys():

@@ -345,9 +345,19 @@ def test_non_convergence_pairs_energies_with_their_vectors(unconverged_eigsh):
     [(64, 1, "dense"), (65, 1, "iterative"), (65, 64, "dense")],
 )
 def test_lowest_eigenpairs_dense_crossover(n, k, method):
-    diag = np.random.default_rng(n).permutation(n) - 10.0
-    energies, vectors, used = lowest_eigenpairs(lambda x: diag * x, n, k, tol=1e-12)
+    rng = np.random.default_rng(n)
+    diag = rng.permutation(n) - 10.0
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = (q * diag) @ q.T
+    energies, vectors, used, residual, matvecs = lowest_eigenpairs(
+        lambda x: a @ x, n, k, tol=1e-12
+    )
     assert used == method
+    # the reported residual is the solve's own, not a bound
+    want = np.linalg.norm(a @ vectors - vectors * energies, axis=0).max()
+    assert 0.0 < residual <= 1e-12 * np.abs(energies).max()
+    assert abs(residual - want) <= n * np.finfo(float).eps * np.abs(diag).max()
+    assert matvecs >= n if method == "dense" else matvecs > k
     assert vectors.shape == (n, k)
     assert np.allclose(energies, np.sort(diag)[:k], rtol=0.0, atol=1e-12)
 
