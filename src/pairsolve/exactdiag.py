@@ -3,9 +3,10 @@
 Provides a matrix-free Hamiltonian action over a PairBasis (one scatter,
 one small dense product and one gather per application), a dense
 full-spectrum solver for small sectors (the verification oracle), an
-iterative ground-state solver for large ones, and lowest_eigenpairs, the
-eigensolver entry point that the DMRG superblock solve shares: ARPACK, or
-a diagonal-preconditioned Davidson when the operator's diagonal is given.
+iterative solver for large ones, and lowest_eigenpairs, the eigensolver
+entry point that the DMRG superblock solve shares.  A ground state (k = 1)
+is found by Davidson's method preconditioned with the operator's diagonal,
+in a subspace held to a fixed number of entries; ARPACK finds k > 1.
 """
 from __future__ import annotations
 
@@ -36,11 +37,20 @@ _DENSE_FALLBACK_DIM = 64
 #: Davidson subspace size at which it restarts from its Ritz vector.
 _DAVIDSON_CAP = 24
 
+#: Entries per Davidson subspace (or its image) at which the cap shrinks,
+#: to no fewer than 8 vectors: 11 at the 184,756 states of N = 20, M = 10.
+_DAVIDSON_ENTRIES = 1 << 21
+
 #: Floor on |diagonal - theta| in the Davidson correction.
 _DAVIDSON_FLOOR = 1e-2
 
 #: Size of the random part of a Davidson start vector without a guess.
 _DAVIDSON_START_NOISE = 1e-2
+
+#: Davidson also stops at a residual of this many eps times the largest
+#: ||H t|| it formed: roundoff in H t holds the residual near 0.1-1 times
+#: that, so a ground energy near 0 could never reach tol * |theta|.
+_DAVIDSON_ROUNDOFF = 10
 
 #: States per step when the diagonal and slot table are built.
 _CHUNK = 1 << 16
@@ -172,7 +182,8 @@ class SpectrumResult:
 
     ``residual`` is max ||H v - E v|| over the eigenpairs the solver
     actually formed vectors for; ``method`` records which solver produced
-    the numbers ("dense" or "iterative").
+    the numbers ("dense" or "iterative"), and ``matvecs`` the applications
+    of H that an iterative solve spent (0 for dense_spectrum).
     """
 
     energies: np.ndarray
@@ -181,6 +192,7 @@ class SpectrumResult:
     n_levels: int
     n_pairs: int
     ground_vector: Optional[np.ndarray] = None
+    matvecs: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,6 +201,7 @@ class SpectrumResult:
             "method": self.method,
             "n_levels": self.n_levels,
             "n_pairs": self.n_pairs,
+            "matvecs": self.matvecs,
         }
 
 
@@ -230,18 +243,26 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size, or with k > n - 2, the matrix is built
-    column by column and diagonalized.  Otherwise, given the operator's
-    ``diagonal`` and k = 1, Davidson's method runs from ``v0`` or from the
-    lowest-diagonal unit vector plus a perturbation drawn from ``seed``,
-    and ``maxiter`` caps its steps, one matvec each.  Without a diagonal,
-    ARPACK starts from ``v0`` or a normal vector drawn from ``seed``,
-    ``maxiter`` caps its restarts, and k more matvecs give the residual.
-    Both stop at ``||H x - theta x|| <= tol * |theta|``.  NoConvergence
-    carries the settled energies, ascending, and their worst residual.
+    column by column and diagonalized.  Otherwise k = 1 runs Davidson's
+    method, preconditioned with the operator's ``diagonal``, from ``v0``
+    or from the lowest-diagonal unit vector plus a perturbation drawn from
+    ``seed``; ``maxiter`` caps its steps, one matvec each, and its
+    residual is that of its own recurrence.  k > 1 runs ARPACK from ``v0``
+    or a normal vector drawn from ``seed``; ``maxiter`` caps its restarts,
+    and k more matvecs give the residual.  Both stop at
+    ``||H x - theta x|| <= tol * |theta|``; Davidson also stops once
+    roundoff in its products bounds the residual.  NoConvergence carries
+    the settled energies, ascending, and their worst residual.  A
+    ``maxiter`` below 1, or k = 1 without a ``diagonal``, raises
+    InvariantViolation.
     """
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
     check_solver_args(tol, seed)
+    if maxiter is not None and maxiter < 1:
+        raise InvariantViolation(f"maxiter must be at least 1, got {maxiter}")
+    if k == 1 and diagonal is None:
+        raise InvariantViolation("a k = 1 solve needs the operator's diagonal")
     if n <= _DENSE_FALLBACK_DIM or k > n - 2:
         h = np.empty((n, n))
         e = np.zeros(n)
@@ -256,12 +277,12 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
         energies, vectors = energies[:k], vectors[:, :k]
         residual = float(np.linalg.norm(h @ vectors - vectors * energies, axis=0).max())
         return Eigenpairs(energies, vectors, "dense", residual, n)
-    if diagonal is not None and k == 1:
+    if k == 1:
         if v0 is None:
             v0 = _DAVIDSON_START_NOISE * np.random.default_rng(seed).standard_normal(n)
             v0[np.argmin(diagonal)] += 1.0
         energy, vector, residual, steps = _davidson(
-            matvec, diagonal, v0, tol, maxiter or 10 * n
+            matvec, diagonal, v0, tol, 10 * n if maxiter is None else maxiter
         )
         return Eigenpairs(np.array([energy]), vector[:, None], "iterative", residual, steps)
     if v0 is None:
@@ -295,14 +316,21 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     return Eigenpairs(energies, vectors, "iterative", residual, calls)
 
 
+def _davidson_cap(n: int) -> int:
+    """Davidson subspace size for operators on R^n: _DAVIDSON_CAP, or
+    fewer (not below 8) where that subspace exceeds _DAVIDSON_ENTRIES."""
+    return min(_DAVIDSON_CAP, max(8, _DAVIDSON_ENTRIES // n))
+
+
 def eigensolver_entries(n: int) -> int:
-    """Entries a k = 1 lowest_eigenpairs solve with a diagonal holds beyond
+    """Entries a k = 1 lowest_eigenpairs solve holds beyond
     its operator: the dense matrix up to the fallback size, otherwise the
     Davidson subspace and its image, their projected matrix and the
     vectors x, Hx, r and t."""
     if n <= _DENSE_FALLBACK_DIM:
         return n * n
-    return (2 * _DAVIDSON_CAP + 4) * n + _DAVIDSON_CAP**2
+    cap = _davidson_cap(n)
+    return (2 * cap + 4) * n + cap**2
 
 
 def _davidson(matvec, diagonal, v0, tol, maxiter):
@@ -312,19 +340,23 @@ def _davidson(matvec, diagonal, v0, tol, maxiter):
     Each step adds the correction r / max(|diagonal - theta|, floor),
     orthogonalized twice against the subspace, and takes one matvec.  A
     full subspace restarts from its Ritz vector, whose image it keeps, so
-    a restart costs no matvec.  Stops like ARPACK, at
-    ||r|| <= tol * max(|theta|, eps^(2/3)).
+    a restart costs no matvec.  The subspace holds _davidson_cap(n)
+    vectors.  Stops like ARPACK, at ||r|| <= tol * max(|theta|, eps^(2/3)),
+    or at ||r|| <= _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
     """
     n = len(v0)
-    basis = np.empty((_DAVIDSON_CAP, n))
-    image = np.empty((_DAVIDSON_CAP, n))
-    proj = np.empty((_DAVIDSON_CAP, _DAVIDSON_CAP))
-    scale = np.finfo(float).eps ** (2.0 / 3.0)
+    cap = _davidson_cap(n)
+    basis = np.empty((cap, n))
+    image = np.empty((cap, n))
+    proj = np.empty((cap, cap))
+    eps = np.finfo(float).eps
+    scale, largest = eps ** (2.0 / 3.0), 0.0
     t = v0 / np.linalg.norm(v0)
     j = 0
     for step in range(1, maxiter + 1):
         basis[j] = t
         image[j] = matvec(t)
+        largest = max(largest, float(np.linalg.norm(image[j])))
         proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ image[j]
         j += 1
         vals, vecs = scipy.linalg.eigh(proj[:j, :j], subset_by_index=(0, 0))
@@ -332,9 +364,10 @@ def _davidson(matvec, diagonal, v0, tol, maxiter):
         x, hx = y @ basis[:j], y @ image[:j]
         r = hx - theta * x
         norm = float(np.linalg.norm(r))
-        if norm <= tol * max(abs(theta), scale):
+        bound = max(tol * max(abs(theta), scale), _DAVIDSON_ROUNDOFF * eps * largest)
+        if norm <= bound:
             return float(theta), x, norm, step
-        if j == _DAVIDSON_CAP:
+        if j == cap:
             basis[0], image[0], proj[0, 0] = x, hx, theta
             j = 1
         t = r / np.maximum(np.abs(diagonal - theta), _DAVIDSON_FLOOR)
@@ -343,7 +376,7 @@ def _davidson(matvec, diagonal, v0, tol, maxiter):
         t /= np.linalg.norm(t)
     raise NoConvergence(
         f"eigensolver did not converge within {maxiter} steps "
-        f"(residual {norm:.3e} against {tol * max(abs(theta), scale):.3e})",
+        f"(residual {norm:.3e} against {bound:.3e})",
         energies=np.array([theta]),
         residual=norm,
     )
@@ -381,24 +414,45 @@ def iterative_ground(
     seed: int = 0,
     max_iterations: Optional[int] = None,
 ) -> SpectrumResult:
-    """Lowest k eigenvalues by a restarted Krylov iteration.
+    """Lowest k eigenvalues by lowest_eigenpairs on the action.
 
-    ``tol`` is relative, in units of the solver's spectral scale estimate.
-    The start vector is drawn from ``seed``, making the run deterministic.
-    Sectors at or below the dense fallback size (or with k too close to
-    the full dimension for the iteration to run) are solved densely.
+    The ground state (k = 1) is found by Davidson's method preconditioned
+    with the action's diagonal, and ``max_iterations`` caps its steps, one
+    matvec each (default ten times the sector size); one more matvec
+    certifies its residual.  k > 1 runs ARPACK, and ``max_iterations``
+    caps its restarts.  Both stop at ``||H x - E x|| <= tol * |E|``,
+    Davidson sooner where roundoff bounds the residual above that (ground
+    energies near 0).  The start vector is drawn from ``seed``, making the
+    run deterministic.  Sectors at or below the dense fallback size (or
+    with k too close to the full dimension for the iteration to run) are
+    solved densely.  A ``max_iterations`` below 1 raises
+    InvariantViolation.
     """
     action = HamiltonianAction(model, basis)
     pairs = lowest_eigenpairs(
-        action.apply, basis.dim, k, tol=tol, seed=seed, maxiter=max_iterations
+        action.apply,
+        basis.dim,
+        k,
+        tol=tol,
+        seed=seed,
+        maxiter=max_iterations,
+        diagonal=action.diagonal,
     )
+    residual, matvecs = pairs.residual, pairs.matvecs
+    if k == 1 and pairs.method == "iterative":
+        # Davidson's residual comes from its recurrence, whose image of a
+        # restarted subspace is a combination of earlier products; the
+        # reference solve certifies its ground state with a fresh one
+        residual = _residual(action.apply, pairs.energies, pairs.vectors)
+        matvecs += 1
     return SpectrumResult(
         energies=pairs.energies,
-        residual=pairs.residual,
+        residual=residual,
         method=pairs.method,
         n_levels=basis.n_levels,
         n_pairs=basis.n_pairs,
         ground_vector=pairs.vectors[:, 0].copy(),
+        matvecs=matvecs,
     )
 
 

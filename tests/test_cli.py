@@ -156,7 +156,7 @@ def test_ed_dense_on_toy(toy_path, tmp_path, capsys):
     assert "method: dense" in text
     assert "wall seconds" not in text
     doc = json.loads(out.read_text())
-    assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs"}
+    assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs", "matvecs"}
     assert doc["energies"][0] == pytest.approx(TOY_GROUND, abs=1e-10)
     assert len(doc["energies"]) == 6
     manifest = json.loads((tmp_path / "ed.json.manifest.json").read_text())

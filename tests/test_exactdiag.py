@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from pairsolve import (
     iterative_ground,
     matrix_element,
 )
-from pairsolve.exactdiag import DENSE_THRESHOLD, apply, lowest_eigenpairs
+from pairsolve import exactdiag
+from pairsolve.exactdiag import (
+    DENSE_THRESHOLD,
+    apply,
+    eigensolver_entries,
+    lowest_eigenpairs,
+)
 
 
 def random_model(rng, n):
@@ -318,6 +325,32 @@ def test_iterative_argument_validation():
         lowest_eigenpairs(lambda x: x, 100, tol=1e-10, seed=-1)
 
 
+@pytest.mark.parametrize("steps", [-1, 0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_max_iterations_below_one_rejected_up_front(steps, k):
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
+    basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
+    with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
+        iterative_ground(model, basis, k=k, max_iterations=steps)
+    calls = []
+
+    def matvec(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
+        lowest_eigenpairs(
+            matvec, 100, k, tol=1e-10, maxiter=steps, diagonal=np.ones(100)
+        )
+    assert not calls
+
+
+def test_ground_state_solve_needs_the_diagonal():
+    # k = 1 always runs Davidson, which the diagonal preconditions
+    with pytest.raises(InvariantViolation, match="diagonal"):
+        lowest_eigenpairs(lambda x: x, 100, tol=1e-10)
+
+
 def test_iterative_reports_non_convergence():
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     basis = enumerate_basis(12, 6)  # 924 states
@@ -325,7 +358,42 @@ def test_iterative_reports_non_convergence():
         iterative_ground(model, basis, tol=1e-15, max_iterations=1)
     err = exc.value
     assert "converge" in str(err)
-    assert err.energies is None or len(err.energies) >= 0
+    # one Davidson step: the Rayleigh quotient of the start vector
+    assert len(err.energies) == 1
+    assert err.energies[0] >= BCS_N12_GROUND
+    assert err.residual > 0
+
+
+@pytest.mark.parametrize("n", [65, 8834, 184_756])
+def test_eigensolver_entries_counts_what_davidson_holds(n):
+    # the largest count of doubles that _davidson itself has allocated
+    # and still holds, read at each matvec through a restart; the last
+    # size is where the entry budget shrinks the subspace below its cap.
+    # The operator, 3 - (shift left) - (shift right) on a ring, has a
+    # constant diagonal, so the correction does not speed the iteration.
+    rng = np.random.default_rng(n)
+    diagonal = np.full(n, 3.0)
+    here = tracemalloc.Filter(True, exactdiag.__file__, domain=np.lib.tracemalloc_domain)
+    held = []
+
+    def matvec(x):
+        snapshot = tracemalloc.take_snapshot().filter_traces([here])
+        held.append(sum(t.size for t in snapshot.traces) // 8)
+        return 3.0 * x - np.roll(x, 1) - np.roll(x, -1)
+
+    steps = exactdiag._davidson_cap(n) + 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence):
+            exactdiag._davidson(matvec, diagonal, rng.normal(size=n), 1e-12, steps)
+    finally:
+        tracemalloc.stop()
+    cap = exactdiag._davidson_cap(n)
+    assert cap == (11 if n == 184_756 else 24)
+    assert len(held) == steps
+    # at least the subspace, its image and their projection, and no more
+    # than the count the DMRG storage bound charges
+    assert 2 * cap * n + cap**2 <= max(held) <= eigensolver_entries(n)
 
 
 def test_non_convergence_pairs_energies_with_their_vectors(unconverged_eigsh):
@@ -350,7 +418,7 @@ def test_lowest_eigenpairs_dense_crossover(n, k, method):
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     a = (q * diag) @ q.T
     energies, vectors, used, residual, matvecs = lowest_eigenpairs(
-        lambda x: a @ x, n, k, tol=1e-12
+        lambda x: a @ x, n, k, tol=1e-12, diagonal=np.diag(a).copy()
     )
     assert used == method
     # the reported residual is the solve's own, not a bound
@@ -371,14 +439,48 @@ def test_twelve_level_ground_energy_pinned():
     assert it.energies[0] == pytest.approx(BCS_N12_GROUND, abs=1e-8)
 
 
+def test_davidson_ground_residual_is_certified_afresh():
+    # this 924-state sector takes more Davidson steps than the 24-vector
+    # subspace holds, so the solve restarts before it stops
+    model = random_model(np.random.default_rng(1), 12)
+    basis = enumerate_basis(12, 6)
+    res = iterative_ground(model, basis, tol=1e-12)
+    assert res.matvecs > 26
+    x, e = res.ground_vector, res.energies[0]
+    assert res.residual == np.linalg.norm(apply(model, basis, x) - e * x)
+    assert res.residual <= 1e-12 * abs(e)
+
+
+def test_davidson_recurrence_residual_survives_restarts():
+    # a shifted ring with a nearly constant diagonal: hundreds of steps,
+    # so many restarts; the recurrence's residual stays within roundoff
+    # of a fresh product's
+    n = 400
+    diagonal = 3.0 + 1e-3 * np.arange(n)
+
+    def matvec(x):
+        return diagonal * x - np.roll(x, 1) - np.roll(x, -1)
+
+    pairs = lowest_eigenpairs(matvec, n, tol=1e-10, diagonal=diagonal)
+    assert pairs.matvecs > 8 * 24
+    x, e = pairs.vectors[:, 0], pairs.energies[0]
+    fresh = np.linalg.norm(matvec(x) - e * x)
+    assert abs(pairs.residual - fresh) <= pairs.matvecs * np.finfo(float).eps * 4.0
+
+
 def test_spectrum_result_json_keys():
     model = build_reduced_bcs([1.0, 2.0], 0.3)
     res = dense_spectrum(model, enumerate_basis(2, 1))
     doc = res.to_json_dict()
-    assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs"}
+    assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs", "matvecs"}
     assert doc["n_levels"] == 2
     assert doc["n_pairs"] == 1
+    assert doc["matvecs"] == 0
     assert all(isinstance(e, float) for e in doc["energies"])
+    # an iterative solve reports the matvecs it spent
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
+    res = iterative_ground(model, enumerate_basis(8, 4), tol=1e-12)
+    assert 1 < res.to_json_dict()["matvecs"] < 70
 
 
 def test_two_level_ground_closed_form():
