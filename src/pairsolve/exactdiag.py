@@ -4,9 +4,10 @@ Provides a matrix-free Hamiltonian action over a PairBasis (one scatter,
 one small dense product and one gather per application), a dense
 full-spectrum solver for small sectors (the verification oracle), an
 iterative solver for large ones, and lowest_eigenpairs, the eigensolver
-entry point that the DMRG superblock solve shares.  A ground state (k = 1)
-is found by Davidson's method preconditioned with the operator's diagonal,
-in a subspace held to a fixed number of entries; ARPACK finds k > 1.
+entry point that the DMRG superblock solve shares.  Above the dense
+fallback size, the lowest k states are found by Davidson's method
+preconditioned with the operator's diagonal, in a subspace held to a
+fixed number of entries plus two vectors per extra state.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .basis import PairBasis, enumerate_basis
 from .errors import (
@@ -34,7 +34,7 @@ DENSE_THRESHOLD = 4000
 #: lowest_eigenpairs diagonalizes operators up to this size densely.
 _DENSE_FALLBACK_DIM = 64
 
-#: Davidson subspace size at which it restarts from its Ritz vector.
+#: Davidson subspace size at which a k = 1 solve restarts from its Ritz vector.
 _DAVIDSON_CAP = 24
 
 #: Entries per Davidson subspace (or its image) at which the cap shrinks,
@@ -213,11 +213,6 @@ def _residual(matvec, energies, vectors) -> float:
     return worst
 
 
-def _ascending(energies, vectors):
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order]
-
-
 def check_solver_args(tol: float, seed: int):
     """Reject a tolerance that is not finite and positive, or a negative
     seed, with InvariantViolation."""
@@ -243,26 +238,19 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size, or with k > n - 2, the matrix is built
-    column by column and diagonalized.  Otherwise k = 1 runs Davidson's
-    method, preconditioned with the operator's ``diagonal``, from ``v0``
-    or from the lowest-diagonal unit vector plus a perturbation drawn from
-    ``seed``; ``maxiter`` caps its steps, one matvec each, and its
-    residual is that of its own recurrence.  k > 1 runs ARPACK from ``v0``
-    or a normal vector drawn from ``seed``; ``maxiter`` caps its restarts,
-    and k more matvecs give the residual.  Both stop at
-    ``||H x - theta x|| <= tol * |theta|``; Davidson also stops once
-    roundoff in its products bounds the residual.  NoConvergence carries
-    the settled energies, ascending, and their worst residual.  A
-    ``maxiter`` below 1, or k = 1 without a ``diagonal``, raises
-    InvariantViolation.
+    column by column and diagonalized.  Otherwise _davidson runs on the
+    operator's ``diagonal`` from the k rows of ``v0`` (for k = 1, a
+    vector), or from the k lowest-diagonal unit vectors plus a perturbation
+    drawn from ``seed``; ``maxiter`` caps its steps, one matvec each.  A
+    ``maxiter`` below k, or no ``diagonal``, raises InvariantViolation.
     """
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
     check_solver_args(tol, seed)
-    if maxiter is not None and maxiter < 1:
-        raise InvariantViolation(f"maxiter must be at least 1, got {maxiter}")
-    if k == 1 and diagonal is None:
-        raise InvariantViolation("a k = 1 solve needs the operator's diagonal")
+    if maxiter is not None and maxiter < k:
+        raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
+    if diagonal is None:
+        raise InvariantViolation("the solve needs the operator's diagonal")
     if n <= _DENSE_FALLBACK_DIM or k > n - 2:
         h = np.empty((n, n))
         e = np.zeros(n)
@@ -277,43 +265,15 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
         energies, vectors = energies[:k], vectors[:, :k]
         residual = float(np.linalg.norm(h @ vectors - vectors * energies, axis=0).max())
         return Eigenpairs(energies, vectors, "dense", residual, n)
-    if k == 1:
-        if v0 is None:
-            v0 = _DAVIDSON_START_NOISE * np.random.default_rng(seed).standard_normal(n)
-            v0[np.argmin(diagonal)] += 1.0
-        energy, vector, residual, steps = _davidson(
-            matvec, diagonal, v0, tol, 10 * n if maxiter is None else maxiter
-        )
-        return Eigenpairs(np.array([energy]), vector[:, None], "iterative", residual, steps)
     if v0 is None:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        v0 /= np.linalg.norm(v0)
-    calls = 0
-
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return matvec(x)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=float)
-    try:
-        energies, vectors = scipy.sparse.linalg.eigsh(
-            op, k=k, which="SA", tol=tol, v0=v0, maxiter=maxiter
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        best = residual = None
-        if len(exc.eigenvalues):
-            best, vecs = _ascending(exc.eigenvalues, exc.eigenvectors)
-            residual = _residual(matvec, best, vecs)
-        raise NoConvergence(
-            f"eigensolver did not converge within the allowed steps "
-            f"({len(exc.eigenvalues)} of {k} eigenpairs settled)",
-            energies=best,
-            residual=residual,
-        ) from None
-    energies, vectors = _ascending(energies, vectors)
-    residual = _residual(counted, energies, vectors)
-    return Eigenpairs(energies, vectors, "iterative", residual, calls)
+        start = _DAVIDSON_START_NOISE * np.random.default_rng(seed).standard_normal((k, n))
+        start[np.arange(k), np.argsort(diagonal, kind="stable")[:k]] += 1.0
+    else:
+        start = np.reshape(v0, (k, n))
+    energies, vectors, residual, steps = _davidson(
+        matvec, diagonal, start, tol, 10 * n if maxiter is None else maxiter
+    )
+    return Eigenpairs(energies, vectors, "iterative", residual, steps)
 
 
 def _davidson_cap(n: int) -> int:
@@ -333,52 +293,64 @@ def eigensolver_entries(n: int) -> int:
     return (2 * cap + 4) * n + cap**2
 
 
-def _davidson(matvec, diagonal, v0, tol, maxiter):
-    """Lowest eigenpair by Davidson's method from v0: theta, x, the norm
-    of the residual r = Hx - theta x, and the steps taken.
+def _davidson(matvec, diagonal, start, tol, maxiter):
+    """Lowest k eigenpairs by Davidson's method from the (k, n) block
+    start: the Ritz values theta ascending, the Ritz vectors x as columns,
+    the worst residual norm ||Hx - theta x|| of their own recurrence, and
+    the steps taken.
 
-    Each step adds the correction r / max(|diagonal - theta|, floor),
-    orthogonalized twice against the subspace, and takes one matvec.  A
-    full subspace restarts from its Ritz vector, whose image it keeps, so
-    a restart costs no matvec.  The subspace holds _davidson_cap(n)
-    vectors.  Stops like ARPACK, at ||r|| <= tol * max(|theta|, eps^(2/3)),
-    or at ||r|| <= _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
+    Each step orthonormalizes one vector against the subspace (twice),
+    adds it and takes one matvec: first the rows of start, then the
+    correction r / max(|diagonal - theta|, floor) of the lowest pair not
+    yet converged.  A full subspace, _davidson_cap(n) + 2(k - 1) vectors
+    or n, restarts from its k Ritz vectors, whose images it keeps.  A pair
+    has converged at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the
+    roundoff bound _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
+    NoConvergence carries the k Ritz values and their worst residual.
     """
-    n = len(v0)
-    cap = _davidson_cap(n)
+    k, n = start.shape
+    cap = min(n, _davidson_cap(n) + 2 * (k - 1))
     basis = np.empty((cap, n))
     image = np.empty((cap, n))
     proj = np.empty((cap, cap))
+    x = np.empty((k, n))
+    hx = np.empty((k, n))
     eps = np.finfo(float).eps
     scale, largest = eps ** (2.0 / 3.0), 0.0
-    t = v0 / np.linalg.norm(v0)
+    t = start[0].copy()
     j = 0
     for step in range(1, maxiter + 1):
-        basis[j] = t
-        image[j] = matvec(t)
+        for _ in range(2):
+            t -= (basis[:j] @ t) @ basis[:j]
+        basis[j] = t / np.linalg.norm(t)
+        image[j] = matvec(basis[j])
         largest = max(largest, float(np.linalg.norm(image[j])))
         proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ image[j]
         j += 1
-        vals, vecs = scipy.linalg.eigh(proj[:j, :j], subset_by_index=(0, 0))
-        theta, y = vals[0], vecs[:, 0]
-        x, hx = y @ basis[:j], y @ image[:j]
-        r = hx - theta * x
-        norm = float(np.linalg.norm(r))
-        bound = max(tol * max(abs(theta), scale), _DAVIDSON_ROUNDOFF * eps * largest)
-        if norm <= bound:
-            return float(theta), x, norm, step
+        if j < k:
+            t = start[j].copy()
+            continue
+        theta, y = scipy.linalg.eigh(proj[:j, :j], subset_by_index=(0, k - 1))
+        worst, lowest = 0.0, None
+        for i in range(k):
+            x[i], hx[i] = y[:, i] @ basis[:j], y[:, i] @ image[:j]
+            r = hx[i] - theta[i] * x[i]
+            norm = float(np.linalg.norm(r))
+            worst = max(worst, norm)
+            bound = max(tol * max(abs(theta[i]), scale), _DAVIDSON_ROUNDOFF * eps * largest)
+            if lowest is None and norm > bound:
+                lowest = (norm, bound)
+                t = r / np.maximum(np.abs(diagonal - theta[i]), _DAVIDSON_FLOOR)
+        if lowest is None:
+            return theta, x.T, worst, step
         if j == cap:
-            basis[0], image[0], proj[0, 0] = x, hx, theta
-            j = 1
-        t = r / np.maximum(np.abs(diagonal - theta), _DAVIDSON_FLOOR)
-        for _ in range(2):
-            t -= (basis[:j] @ t) @ basis[:j]
-        t /= np.linalg.norm(t)
+            basis[:k], image[:k], proj[:k, :k] = x, hx, np.diag(theta)
+            j = k
     raise NoConvergence(
         f"eigensolver did not converge within {maxiter} steps "
-        f"(residual {norm:.3e} against {bound:.3e})",
-        energies=np.array([theta]),
-        residual=norm,
+        f"(residual {lowest[0]:.3e} against {lowest[1]:.3e})",
+        energies=theta,
+        residual=worst,
     )
 
 
@@ -416,16 +388,15 @@ def iterative_ground(
 ) -> SpectrumResult:
     """Lowest k eigenvalues by lowest_eigenpairs on the action.
 
-    The ground state (k = 1) is found by Davidson's method preconditioned
-    with the action's diagonal, and ``max_iterations`` caps its steps, one
-    matvec each (default ten times the sector size); one more matvec
-    certifies its residual.  k > 1 runs ARPACK, and ``max_iterations``
-    caps its restarts.  Both stop at ``||H x - E x|| <= tol * |E|``,
-    Davidson sooner where roundoff bounds the residual above that (ground
-    energies near 0).  The start vector is drawn from ``seed``, making the
-    run deterministic.  Sectors at or below the dense fallback size (or
-    with k too close to the full dimension for the iteration to run) are
-    solved densely.  A ``max_iterations`` below 1 raises
+    Davidson's method, preconditioned with the action's diagonal, finds
+    the k pairs, and ``max_iterations`` caps its steps, one matvec each
+    (default ten times the sector size); one more matvec per pair
+    certifies its residual afresh.  Each pair stops at ``||H x - E x|| <=
+    tol * |E|``, sooner where roundoff bounds the residual above that
+    (energies near 0).  The start block is drawn from ``seed``, making
+    the run deterministic.  Sectors at or below the dense fallback size
+    (or with k too close to the full dimension for the iteration to run)
+    are solved densely.  A ``max_iterations`` below k raises
     InvariantViolation.
     """
     action = HamiltonianAction(model, basis)
@@ -439,12 +410,12 @@ def iterative_ground(
         diagonal=action.diagonal,
     )
     residual, matvecs = pairs.residual, pairs.matvecs
-    if k == 1 and pairs.method == "iterative":
-        # Davidson's residual comes from its recurrence, whose image of a
+    if pairs.method == "iterative":
+        # Davidson's residuals come from its recurrence, whose image of a
         # restarted subspace is a combination of earlier products; the
-        # reference solve certifies its ground state with a fresh one
+        # reference solve certifies each pair with a fresh one
         residual = _residual(action.apply, pairs.energies, pairs.vectors)
-        matvecs += 1
+        matvecs += k
     return SpectrumResult(
         energies=pairs.energies,
         residual=residual,

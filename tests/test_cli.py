@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from pairsolve import (
     TooLarge,
     build_reduced_bcs,
     enumerate_basis,
+    iterative_ground,
     memory_report,
     run_infinite,
 )
@@ -193,11 +195,14 @@ def test_ed_iterative_method(eight_path, tmp_path):
     assert doc["n_pairs"] == 4
 
 
-def test_ed_non_convergence_reports_best_estimate(
-    eight_path, tmp_path, capsys, unconverged_eigsh
-):
+def test_ed_non_convergence_reports_best_estimate(eight_path, tmp_path, capsys, monkeypatch):
+    # three Davidson steps for two pairs cannot converge; the CLI prints
+    # the Ritz values and the residual that NoConvergence carries
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)  # EIGHT_DOC
-    lowest = unconverged_eigsh(model, enumerate_basis(8, 4))
+    short = functools.partial(iterative_ground, max_iterations=3)
+    with pytest.raises(NoConvergence) as exc:
+        short(model, enumerate_basis(8, 4), k=2)
+    monkeypatch.setattr(cli, "iterative_ground", short)
     out = tmp_path / "ed.json"
     code = main(
         [
@@ -213,10 +218,10 @@ def test_ed_non_convergence_reports_best_estimate(
     assert code == 5
     err = capsys.readouterr().err
     assert "error:" in err
-    best = ", ".join(repr(float(e)) for e in lowest)
+    best = ", ".join(repr(float(e)) for e in exc.value.energies)
     assert f"best energies: {best}\n" in err
-    residual = err.split("residual: ")[1].splitlines()[0]
-    assert float(residual) < 1e-10
+    assert f"residual: {exc.value.residual!r}\n" in err
+    assert exc.value.residual > 0
     assert not out.exists()
 
 

@@ -3,8 +3,8 @@
 Random general and integrable models with up to ten levels, at every
 filling, are checked against the matrix built one element at a time with
 ``matrix_element`` and against exact invariants of the spectrum; the
-Davidson ground states of sectors above the dense fallback size are
-checked against the dense spectrum.
+Davidson ground states and four lowest states of sectors above the dense
+fallback size are checked against the dense spectrum.
 """
 import math
 
@@ -116,30 +116,38 @@ def test_action_agrees_with_matrix_elements_and_invariants(n, kind, seed, data):
 def _davidson_cases():
     """Sectors above the dense fallback (64 states): random general models
     at N = 8, 10, 12 on seeds 0-2, and reduced BCS with degenerate levels
-    (all equal, or 1, 2, 3 four times each) at attractive and repulsive G."""
+    (all equal, or 1, 2, 3 four times each) at attractive and repulsive G;
+    each for the ground state and for the four lowest states, where a
+    degenerate level needs more than one start direction."""
+    cases = []
     for seed in range(3):
         for n in (8, 10, 12):
             for m in range(n + 1):
                 if math.comb(n, m) > 64:
-                    yield pytest.param("general", n, m, seed, id=f"general-n{n}-m{m}-seed{seed}")
+                    cases.append((("general", n, m, seed), f"general-n{n}-m{m}-seed{seed}"))
     for name in ("equal", "triple"):
         for g in (-1.0, -0.3, 0.3, 1.0):
             for m in range(2, 11):
-                yield pytest.param(name, 12, m, g, id=f"bcs-{name}-m{m}-g{g}")
+                cases.append(((name, 12, m, g), f"bcs-{name}-m{m}-g{g}"))
+    for k in (1, 4):
+        for values, name in cases:
+            yield pytest.param(*values, k, id=name if k == 1 else f"{name}-k{k}")
 
 
-@pytest.mark.parametrize("kind, n, m, param", _davidson_cases())
-def test_davidson_ground_matches_dense(kind, n, m, param):
+@pytest.mark.parametrize("kind, n, m, param, k", _davidson_cases())
+def test_davidson_ground_matches_dense(kind, n, m, param, k):
     if kind == "general":
         model = general_model(np.random.default_rng(param), n)
     else:
         eps = np.ones(n) if kind == "equal" else np.repeat([1.0, 2.0, 3.0], 4)
         model = build_reduced_bcs(eps, param)
     basis = enumerate_basis(n, m)
-    res = iterative_ground(model, basis, k=1, tol=1e-12)
+    res = iterative_ground(model, basis, k=k, tol=1e-12)
     assert res.method == "iterative"
-    assert 0 < res.matvecs < basis.dim
-    # relative, except where the ground energy is below the models' unit
-    # scale: equal levels at G = 1 and M = 10 have a ground energy of 0
-    exact = dense_spectrum(model, basis).energies[0]
-    assert abs(res.energies[0] - exact) <= 1e-10 * max(abs(exact), 1.0)
+    assert res.matvecs > 0
+    if k == 1:
+        assert res.matvecs < basis.dim
+    # relative, except where an energy is below the models' unit scale:
+    # equal levels at G = 1 and M = 10 have a ground energy of 0
+    exact = dense_spectrum(model, basis).energies[:k]
+    assert np.all(np.abs(res.energies - exact) <= 1e-10 * np.maximum(np.abs(exact), 1.0))

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,25 +334,28 @@ def test_iterative_argument_validation():
 def test_max_iterations_below_one_rejected_up_front(steps, k):
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
     basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
-    with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
-        iterative_ground(model, basis, k=k, max_iterations=steps)
     calls = []
 
     def matvec(x):
         calls.append(x)
         return x
 
-    with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
-        lowest_eigenpairs(
-            matvec, 100, k, tol=1e-10, maxiter=steps, diagonal=np.ones(100)
-        )
+    # the start block alone takes k steps, so k - 1 is rejected as well
+    for maxiter in (steps, k - 1):
+        with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
+            iterative_ground(model, basis, k=k, max_iterations=maxiter)
+        with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
+            lowest_eigenpairs(
+                matvec, 100, k, tol=1e-10, maxiter=maxiter, diagonal=np.ones(100)
+            )
     assert not calls
 
 
 def test_ground_state_solve_needs_the_diagonal():
-    # k = 1 always runs Davidson, which the diagonal preconditions
-    with pytest.raises(InvariantViolation, match="diagonal"):
-        lowest_eigenpairs(lambda x: x, 100, tol=1e-10)
+    # every iterative solve runs Davidson, which the diagonal preconditions
+    for k in (1, 2):
+        with pytest.raises(InvariantViolation, match="diagonal"):
+            lowest_eigenpairs(lambda x: x, 100, k, tol=1e-10)
 
 
 def test_iterative_reports_non_convergence():
@@ -385,7 +392,7 @@ def test_eigensolver_entries_counts_what_davidson_holds(n):
     tracemalloc.start()
     try:
         with pytest.raises(NoConvergence):
-            exactdiag._davidson(matvec, diagonal, rng.normal(size=n), 1e-12, steps)
+            exactdiag._davidson(matvec, diagonal, rng.normal(size=(1, n)), 1e-12, steps)
     finally:
         tracemalloc.stop()
     cap = exactdiag._davidson_cap(n)
@@ -396,21 +403,48 @@ def test_eigensolver_entries_counts_what_davidson_holds(n):
     assert 2 * cap * n + cap**2 <= max(held) <= eigensolver_entries(n)
 
 
-def test_non_convergence_pairs_energies_with_their_vectors(unconverged_eigsh):
+def test_non_convergence_pairs_energies_with_their_vectors():
+    # four steps for three pairs: the start block and one correction, so
+    # the subspace is spanned by the four vectors H was applied to, and a
+    # Rayleigh-Ritz on them gives the energies and the residuals of their
+    # own vectors that NoConvergence must carry; here the middle pair's
+    # residual is the worst
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
     basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
-    lowest = unconverged_eigsh(model, basis)
+    action = HamiltonianAction(model, basis)
+    seen = []
+
+    def matvec(x):
+        seen.append(x.copy())
+        return action.apply(x)
+
     with pytest.raises(NoConvergence) as exc:
-        iterative_ground(model, basis, k=2)
+        lowest_eigenpairs(
+            matvec, basis.dim, 3, tol=1e-10, maxiter=4, diagonal=action.diagonal
+        )
     err = exc.value
-    assert np.array_equal(err.energies, lowest)
-    assert err.energies[0] < err.energies[1]
-    assert err.residual < 1e-10
+    v = np.array(seen)
+    hv = np.array([action.apply(x) for x in v])
+    assert np.allclose(v @ v.T, np.eye(4), rtol=0.0, atol=1e-14)
+    theta, y = np.linalg.eigh(0.5 * (v @ hv.T + hv @ v.T))
+    theta, y = theta[:3], y[:, :3]
+    residuals = np.linalg.norm(y.T @ hv - theta[:, None] * (y.T @ v), axis=1)
+    assert np.argmax(residuals) == 1
+    assert np.all(np.diff(err.energies) > 0)
+    assert np.allclose(err.energies, theta, rtol=1e-13, atol=0.0)
+    assert err.residual == pytest.approx(residuals.max(), rel=1e-10)
+    # Ritz values lie above the eigenvalues they approximate
+    assert np.all(err.energies >= dense_spectrum(model, basis).energies[:3])
+    # iterative_ground starts from the same block and raises the same
+    with pytest.raises(NoConvergence) as again:
+        iterative_ground(model, basis, k=3, max_iterations=4)
+    assert np.array_equal(again.value.energies, err.energies)
+    assert again.value.residual == err.residual
 
 
 @pytest.mark.parametrize(
     "n, k, method",
-    [(64, 1, "dense"), (65, 1, "iterative"), (65, 64, "dense")],
+    [(64, 1, "dense"), (65, 1, "iterative"), (65, 63, "iterative"), (65, 64, "dense")],
 )
 def test_lowest_eigenpairs_dense_crossover(n, k, method):
     rng = np.random.default_rng(n)
@@ -449,6 +483,22 @@ def test_davidson_ground_residual_is_certified_afresh():
     x, e = res.ground_vector, res.energies[0]
     assert res.residual == np.linalg.norm(apply(model, basis, x) - e * x)
     assert res.residual <= 1e-12 * abs(e)
+
+
+def test_iterative_certifies_every_pair_afresh():
+    # each of the k pairs gets one fresh ||H x - E x||, counted in matvecs;
+    # this 924-state sector restarts before the three pairs converge
+    model = random_model(np.random.default_rng(1), 12)
+    basis = enumerate_basis(12, 6)
+    res = iterative_ground(model, basis, k=3, tol=1e-12)
+    action = HamiltonianAction(model, basis)
+    pairs = lowest_eigenpairs(action.apply, basis.dim, 3, tol=1e-12, diagonal=action.diagonal)
+    assert pairs.matvecs > 28
+    fresh = [np.linalg.norm(action.apply(x) - e * x) for e, x in zip(pairs.energies, pairs.vectors.T)]
+    assert np.array_equal(res.energies, pairs.energies)
+    assert res.residual == max(fresh)
+    assert res.matvecs == pairs.matvecs + 3
+    assert res.residual <= 1e-12 * np.abs(res.energies).max()
 
 
 def test_davidson_recurrence_residual_survives_restarts():
@@ -492,3 +542,22 @@ def test_two_level_ground_closed_form():
     )
     res = dense_spectrum(model, enumerate_basis(2, 1))
     assert res.energies[0] == pytest.approx(-math.sqrt(5.0), abs=1e-12)
+
+
+def test_import_loads_no_scipy_beyond_linalg():
+    # the solvers need scipy.linalg alone, so importing pairsolve after it
+    # loads no further part of scipy
+    code = (
+        "import sys, scipy.linalg\n"
+        "before = set(sys.modules)\n"
+        "import pairsolve\n"
+        "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(exactdiag.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
