@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .basis import enumerate_basis
-from .dmrg import DmrgConfig, history_csv, memory_report, run_infinite, summary_dict
+from .dmrg import (
+    DmrgConfig,
+    history_csv,
+    memory_report,
+    run_infinite,
+    summary_dict,
+    without_timings,
+)
 from .errors import NoConvergence, PairsolveError, SchemaError, TooLarge
 from .exactdiag import DENSE_THRESHOLD, check_solver_args, dense_spectrum, iterative_ground
 from .model import (
@@ -184,7 +191,7 @@ def _run_dmrg(model, args, m):
     result = run_infinite(model, config)
     memory_report(result)  # raises InvariantViolation before any output
     if args.no_timestamp:
-        result = dataclasses.replace(result, wall_seconds=0.0)
+        result = without_timings(result)
     return result
 
 

@@ -4,10 +4,12 @@ Levels are split at the Fermi index into a hole side and a particle side.
 Both blocks grow outward one level per iteration (two on one side once the
 other side runs out of levels, which only happens away from half filling),
 the superblock ground state is found in a fixed total-pair sector, and each
-block is truncated to at most m states selected by its reduced density
-matrix.  A run starts from two vacuum blocks and follows a fixed plan of
-exactly N/2 steps, each naming the levels every side gains and the pair
-target.
+block is truncated to the at most m states of largest Schmidt weight of
+that ground state: one SVD per pair-sector block of the solver's vector
+gives both blocks' states and weights, the eigenstates and eigenvalues of
+the two reduced density matrices, which are never formed.  A run starts
+from two vacuum blocks and follows a fixed plan of exactly N/2 steps,
+each naming the levels every side gains and the pair target.
 
 Memory layout: a block over the levels L meets the rest of the model only
 through v1 and v2 between L and the levels O outside it, so it stores
@@ -32,7 +34,7 @@ separately.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -154,6 +156,16 @@ def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(dx * dy, dx * dy)
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron(x, y) for a small y: one strided product per entry of y,
+    where np.kron broadcasts over inner axes of y's size."""
+    (a, b), (c, d) = x.shape, y.shape
+    out = np.empty((a, c, b, d))
+    for i, j in np.ndindex(c, d):
+        np.multiply(x, y[i, j], out=out[:, i, :, j])
+    return out.reshape(a * c, b * d)
+
+
 def _svd(k: np.ndarray):
     """Thin SVD of k without singular values at or below _SVD_CUT times the largest."""
     if not np.any(k):
@@ -182,11 +194,11 @@ def _join(a: Block, b: Block, model: PairingModel):
     h = _kron_sum(a.h, b.h)
     ix = np.ix_(list(a.levels), list(b.levels))
     for x, y in _factor(a, b, model.v1[ix], _RAISE):
-        hop = np.kron(x, y.T)
+        hop = _kron(x, y.T)
         h += hop
         h += hop.T
     for x, y in _factor(a, b, 2.0 * model.v2[ix], _NUMBER):
-        h += np.kron(x, y)
+        h += _kron(x, y)
     return np.add.outer(a.sectors, b.sectors).ravel(), h
 
 
@@ -347,7 +359,8 @@ class _Superblock:
     bases once, at construction.  A matvec is a sum of small products over
     the blocks and forms no dense dh x dp state.  The vector holds the
     blocks in order of s, each row-major; ``embed`` and ``restrict`` rotate
-    to and from the dh x dp product space, and ``diagonal`` is D.
+    to and from the dh x dp product space, ``diagonal`` is D, and
+    ``schmidt`` decomposes a state into the two blocks' candidate states.
     """
 
     def __init__(self, hole, particle, model: PairingModel, target: int):
@@ -358,8 +371,13 @@ class _Superblock:
                 f"no states with {target} pairs in a "
                 f"{self.dh}x{self.dp} superblock"
             )
-        hs = [np.flatnonzero(hole.sectors == s) for s in secs]
-        ps = [np.flatnonzero(particle.sectors == target - s) for s in secs]
+        self.target, self.secs = target, secs
+        self._rows = tuple(
+            {s: np.flatnonzero(b.sectors == s) for s in np.unique(b.sectors)}
+            for b in (hole, particle)
+        )
+        hs = [self._rows[0][s] for s in secs]
+        ps = [self._rows[1][target - s] for s in secs]
         eh, uh = zip(*(np.linalg.eigh(hole.h[np.ix_(h, h)]) for h in hs))
         ep, up = zip(*(np.linalg.eigh(particle.h[np.ix_(p, p)]) for p in ps))
         self.blocks = list(zip(hs, ps, uh, up))
@@ -427,11 +445,34 @@ class _Superblock:
             [(u.T @ psi[np.ix_(h, p)] @ v).ravel() for h, p, u, v in self.blocks]
         )
 
+    def schmidt(self, x: np.ndarray):
+        """Candidate kept states of the hole and the particle block from
+        the Schmidt decomposition of the sector state x.
+
+        One SVD per sector block b = U diag(sigma) V^T gives the block
+        vectors u U and v V, of weights sigma^2 (zero beyond the rank); a
+        block sector without a partner on the other side keeps its basis
+        states, at weight 0.  Each side is a list over its pair sectors,
+        ascending, of (rows, weights descending, vectors as columns).
+        """
+        found = ({}, {})
+        for s, (h, p, u, v), b in zip(self.secs, self.blocks, self._split(x)):
+            left, sigma, right = np.linalg.svd(b)
+            weights = np.zeros(max(b.shape))
+            weights[: len(sigma)] = sigma * sigma
+            found[0][s] = (h, weights[: len(h)], u @ left)
+            found[1][self.target - s] = (p, weights[: len(p)], v @ right.T)
+        return tuple(
+            [got.get(s) or (i, np.zeros(len(i)), np.eye(len(i))) for s, i in rows.items()]
+            for got, rows in zip(found, self._rows)
+        )
+
 
 def _solve_superblock(hole, particle, model, target, config, guess=None):
-    """Ground state of the superblock, its solve's work entries, and its
-    solver record: matvecs, residual ||H psi - E0 psi|| and the overlap
-    |<v0|psi>| of the normalized guess (0 without one)."""
+    """Ground state of the superblock: E0, the superblock operator, the
+    state x in its sector coordinates, and the solver record: matvecs,
+    residual ||H psi - E0 psi||, the overlap |<v0|psi>| of the normalized
+    guess (0 without one) and the eigensolver's seconds."""
     op = _Superblock(hole, particle, model, target)
     v0 = None
     if guess is not None and guess.shape == (op.dh, op.dp):
@@ -439,6 +480,7 @@ def _solve_superblock(hole, particle, model, target, config, guess=None):
         norm = np.linalg.norm(g)
         if norm > 1e-8:
             v0 = g / norm
+    start = time.perf_counter()
     pairs = lowest_eigenpairs(
         op.matvec,
         op.sector_dim,
@@ -448,13 +490,14 @@ def _solve_superblock(hole, particle, model, target, config, guess=None):
         maxiter=config.max_superblock_iters,
         diagonal=op.diagonal,
     )
-    psi = pairs.vectors[:, 0]
+    x = pairs.vectors[:, 0]
     record = {
         "residual": pairs.residual,
-        "warm_start_overlap": 0.0 if v0 is None else float(abs(v0 @ psi)),
+        "warm_start_overlap": 0.0 if v0 is None else float(abs(v0 @ x)),
         "matvecs": pairs.matvecs,
+        "solve_s": time.perf_counter() - start,
     }
-    return float(pairs.energies[0]), op.embed(psi), op.work_entries(), record
+    return float(pairs.energies[0]), op, x, record
 
 
 def superblock_ground(hole, particle, model: PairingModel, target: int, config: DmrgConfig, guess=None):
@@ -464,8 +507,8 @@ def superblock_ground(hole, particle, model: PairingModel, target: int, config: 
     support lies entirely in the target sector.  E0 is a variational upper
     bound for the levels the two blocks represent.
     """
-    e0, psi, _, _ = _solve_superblock(hole, particle, model, target, config, guess)
-    return e0, psi
+    e0, op, x, _ = _solve_superblock(hole, particle, model, target, config, guess)
+    return e0, op.embed(x)
 
 
 def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
@@ -488,33 +531,51 @@ def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
     raise InvariantViolation(f"side must be 'hole' or 'particle', got {side!r}")
 
 
-def _truncate_with_basis(block, rho: np.ndarray, m: int):
-    """Keep the m largest density-matrix eigenstates and project h and the
-    coupling modes onto them; also return the kept-state column matrix W
-    for guess embedding."""
-    d = block.dim
+def _density_states(block, rho: np.ndarray):
+    """Candidate kept states of a block from its density matrix: per pair
+    sector, ascending, (rows, eigenvalues descending, eigenvectors)."""
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (d, d):
+    if rho.shape != (block.dim, block.dim):
         raise DimensionMismatch(
-            f"density matrix shape {rho.shape} does not match block dim {d}"
+            f"density matrix shape {rho.shape} does not match block dim {block.dim}"
         )
-    # eigenvectors by ascending sector, largest weight first within one
-    lams, secs, vecs = np.empty(d), np.empty(d, dtype=int), np.zeros((d, d))
-    col = 0
+    states = []
     for s in np.unique(block.sectors):
         idx = np.flatnonzero(block.sectors == s)
-        vals, vs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
-        cols = slice(col, col + len(idx))
-        lams[cols], secs[cols], vecs[idx, cols] = vals[::-1], s, vs[:, ::-1]
-        col += len(idx)
+        vals, vecs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
+        states.append((idx, vals[::-1], vecs[:, ::-1]))
+    return states
+
+
+def _truncate_with_basis(block, states, m: int):
+    """Keep the m candidate states of largest weight and project h and the
+    coupling modes onto them; also return the kept-state column matrix W
+    for guess embedding.
+
+    ``states`` lists, per pair sector of the block in ascending order, the
+    sector's rows of the block basis, its weights in descending order and
+    its states as columns on those rows (``_density_states``, or
+    ``_Superblock.schmidt``).
+    """
+    d = block.dim
+    rows, weights, vecs = zip(*states)
+    lams = np.concatenate(weights)
+    secs = block.sectors[np.concatenate(rows)]
     # largest weight first; ties resolved by lower sector, then by the
-    # deterministic enumeration order above
+    # order of the states within their sector
     keep = np.lexsort((np.arange(d), secs, -lams))[:m]
-    # a strided W changes the bits of the projections below
-    w = np.ascontiguousarray(vecs[:, keep])
+    # every candidate as a column on the block basis; one column gather
+    # then costs less than a scatter per sector
+    candidates = np.zeros((d, d))
+    start = 0
+    for r, v in zip(rows, vecs):
+        candidates[r, start : start + len(r)] = v
+        start += len(r)
+    w = candidates[:, keep]
+    k = w.shape[1]
     weight = min(max(1.0 - sum(lams[keep].tolist()), 0.0), 1.0)
     # explicit parts act on the core index, bare level j on bit j after it
-    k, core, nb = w.shape[1], w.reshape(block.core_dim, -1), block.n_bare
+    core, nb = w.reshape(block.core_dim, -1), block.n_bare
     modes = []
     for kind, (ops, span) in enumerate(block.modes):
         ops = np.array([w.T @ (a @ core).reshape(w.shape) for a in ops]).reshape(-1, k, k)
@@ -535,17 +596,23 @@ def truncate(block, rho: np.ndarray, m: int):
     eigenvalue sum, clipped into [0, 1].  Kept states are sector-pure, so
     sector labels survive truncation.
     """
-    new, weight, _ = _truncate_with_basis(block, rho, m)
+    new, weight, _ = _truncate_with_basis(block, _density_states(block, rho), m)
     return new, weight
+
+
+#: Seconds of an iteration's phases: block growth, superblock set-up (its
+#: sector eigenbases, coupling terms and warm-start guess), the
+#: eigensolver, and the Schmidt decomposition with both truncations.
+PHASES = ("grow_s", "setup_s", "solve_s", "truncate_s")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration: its superblock, energy and truncation, and its solve
-    as the eigensolver reports it: superblock matvecs (Davidson steps, or
-    the dense build's columns), the residual ||H psi - E0 psi|| and the
+    """One iteration: its superblock, energy and truncation, its solve as
+    the eigensolver reports it: superblock matvecs (Davidson steps, or the
+    dense build's columns), the residual ||H psi - E0 psi|| and the
     overlap |<v0|psi>| of the warm-start guess (0 when the solve had
-    none)."""
+    none), and the seconds of its ``PHASES``."""
 
     iteration: int
     levels_in_superblock: int
@@ -558,6 +625,10 @@ class IterationRecord:
     matvecs: int
     residual: float
     warm_start_overlap: float
+    grow_s: float
+    setup_s: float
+    solve_s: float
+    truncate_s: float
 
 
 @dataclass(frozen=True)
@@ -569,9 +640,11 @@ class DmrgResult:
     of the coupling modes (bare levels store none).  per_level_peak_entries
     counts the modes alone in the 3-per-level convention (creation plus
     annihilation per raise mode, one per number mode); work_peak_entries
-    covers solver scratch (the superblock's
-    sector blocks, matvec temporaries and eigensolver vectors, density
-    matrices).
+    covers solver scratch: the larger of the solve's (the superblock's
+    sector blocks, matvec temporaries and eigensolver arrays) and the
+    truncation's (both blocks' Schmidt vectors and weights, each block's
+    candidate matrix and kept-state matrix, the dense ground state and its
+    part on the kept states).
     """
 
     iterations: tuple
@@ -589,38 +662,48 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     """Full infinite-algorithm run: N/2 grow/solve/truncate iterations.
 
     Both blocks start as the vacuum and each iteration grows them by one
-    step of the plan.  The last iteration's superblock is the whole system
-    in the physical sector, so its E0 is the reported final energy.
+    step of the plan, solves the superblock and keeps, in each block, the
+    m states of largest Schmidt weight of its ground state
+    (``_Superblock.schmidt``; ties go to the lower sector, then to the
+    order within the sector).  The ground state on the kept states starts
+    the next solve.  The last iteration's
+    superblock is the whole system in the physical sector, so its E0 is
+    the reported final energy.
     """
     start = time.perf_counter()
     hole = particle = vacuum_block()
     records = []
     peak_stored = peak_conventional = peak_work = 0
-    psi = w_hole = w_part = None
+    carried = None
     for k, (new_h, new_p, target) in enumerate(_plan(model, config), 1):
+        t0 = time.perf_counter()
         if new_h:
             hole = GrownBlock(hole, new_h, model)
         if new_p:
             particle = GrownBlock(particle, new_p, model)
         grown = _entries(hole, particle)
+        t1 = time.perf_counter()
         guess = None
-        if psi is not None and len(new_h) == len(new_p) == 1:
+        if carried is not None and len(new_h) == len(new_p) == 1:
             delta = target - records[-1].target_pairs
-            guess = _embed_guess(psi, w_hole, w_part, model, new_h[0], new_p[0], delta)
+            guess = _embed_guess(carried, model, new_h[0], new_p[0], delta)
         try:
-            e0, psi, solve_work, solve = _solve_superblock(
-                hole, particle, model, target, config, guess
-            )
+            e0, op, x, solve = _solve_superblock(hole, particle, model, target, config, guess)
         except (NoConvergence, EmptySector) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
-        rho_h = reduced_density(psi, "hole")
-        rho_p = reduced_density(psi, "particle")
-        peak_work = max(
-            peak_work, solve_work, rho_h.size + rho_p.size + hole.dim**2
-        )
-        hole, wh, w_hole = _truncate_with_basis(hole, rho_h, config.m)
-        particle, wp, w_part = _truncate_with_basis(particle, rho_p, config.m)
+        t2 = time.perf_counter()
+        hole_states, part_states = op.schmidt(x)
+        hole, wh, w_hole = _truncate_with_basis(hole, hole_states, config.m)
+        particle, wp, w_part = _truncate_with_basis(particle, part_states, config.m)
+        psi = op.embed(x)
+        carried = w_hole.T @ psi @ w_part
+        held = _states_entries(hole_states) + _states_entries(part_states)
+        held += w_hole.size + w_part.size + psi.size + carried.size
+        peak_work = max(peak_work, op.work_entries(), held)
+        # hold neither the superblock nor the candidate states through the
+        # next growth and solve
+        del op, x, hole_states, part_states, w_hole, w_part, psi
         for stored, per_level in (grown, _entries(hole, particle)):
             peak_stored = max(peak_stored, stored)
             peak_conventional = max(peak_conventional, per_level)
@@ -634,6 +717,9 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
                 trunc_weight_particle=wp,
                 dim_hole=hole.dim,
                 dim_particle=particle.dim,
+                grow_s=t1 - t0,
+                setup_s=t2 - t1 - solve["solve_s"],
+                truncate_s=time.perf_counter() - t2,
                 **solve,
             )
         )
@@ -658,17 +744,23 @@ def _entries(hole, particle):
     )
 
 
-def _embed_guess(prev_psi, w_hole, w_part, model, level_h, level_p, delta):
+def _states_entries(states) -> int:
+    """Entries of candidate kept states: their weights and vectors, and
+    the candidate matrix a truncation builds from them."""
+    d = sum(len(rows) for rows, _, _ in states)
+    return d * d + sum(weights.size + vecs.size for _, weights, vecs in states)
+
+
+def _embed_guess(carried, model, level_h, level_p, delta):
     """Carry the previous ground state into the next superblock.
 
-    The truncated state is re-expanded over the fresh hole level ``level_h``
-    and particle level ``level_p`` with their exact local ground state at
-    the pair count that supplies the target increment: both empty (delta
-    0), both occupied (2), or one pair in the ground state of
-    ``[[2 eps_h, v1_hp], [v1_hp, 2 eps_p]]`` over (hole occupied,
-    particle occupied) (1).
+    The state on the kept states, ``carried``, is re-expanded over the
+    fresh hole level ``level_h`` and particle level ``level_p`` with their
+    exact local ground state at the pair count that supplies the target
+    increment: both empty (delta 0), both occupied (2), or one pair in the
+    ground state of ``[[2 eps_h, v1_hp], [v1_hp, 2 eps_p]]`` over (hole
+    occupied, particle occupied) (1).
     """
-    core = w_hole.T @ prev_psi @ w_part
     chi = np.zeros((2, 2))
     if delta == 0:
         chi[0, 0] = 1.0
@@ -678,8 +770,7 @@ def _embed_guess(prev_psi, w_hole, w_part, model, level_h, level_p, delta):
         chi[1, 0], chi[0, 1] = np.linalg.eigh(local)[1][:, 0]
     else:
         chi[1, 1] = 1.0
-    guess = np.einsum("ab,su->asbu", core, chi)
-    return guess.reshape(core.shape[0] * 2, core.shape[1] * 2)
+    return _kron(carried, chi)
 
 
 def history_csv(result: DmrgResult) -> str:
@@ -687,16 +778,28 @@ def history_csv(result: DmrgResult) -> str:
     lines = [
         "iteration,levels_in_superblock,target_pairs,E0,"
         "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle,"
-        "matvecs,residual,warm_start_overlap"
+        "matvecs,residual,warm_start_overlap," + ",".join(PHASES)
     ]
     for r in result.iterations:
         lines.append(
             f"{r.iteration},{r.levels_in_superblock},{r.target_pairs},"
             f"{r.e0:.17g},{r.trunc_weight_hole:.17g},"
             f"{r.trunc_weight_particle:.17g},{r.dim_hole},{r.dim_particle},"
-            f"{r.matvecs},{r.residual:.17g},{r.warm_start_overlap:.17g}"
+            f"{r.matvecs},{r.residual:.17g},{r.warm_start_overlap:.17g},"
+            + ",".join(f"{getattr(r, name):.17g}" for name in PHASES)
         )
     return "\n".join(lines) + "\n"
+
+
+def without_timings(result: DmrgResult) -> DmrgResult:
+    """The result with its wall time and every phase time set to 0, so that
+    outputs written from it repeat byte for byte."""
+    zero = dict.fromkeys(PHASES, 0.0)
+    return replace(
+        result,
+        wall_seconds=0.0,
+        iterations=tuple(replace(r, **zero) for r in result.iterations),
+    )
 
 
 def summary_dict(result: DmrgResult) -> dict:

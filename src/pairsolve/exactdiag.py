@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevr as _syevr
 
 from .basis import PairBasis, enumerate_basis
 from .errors import (
@@ -31,7 +32,11 @@ from .model import PairingModel
 #: Largest sector handled by the dense solver unless overridden.
 DENSE_THRESHOLD = 4000
 
-#: lowest_eigenpairs diagonalizes operators up to this size densely.
+#: lowest_eigenpairs diagonalizes operators up to this size per wanted
+#: pair densely.  Davidson spent up to about 52 matvecs per pair (k = 1..8,
+#: tol 1e-12) on random general sectors of N = 8..16 levels and on
+#: degenerate reduced BCS sectors of N = 12, so more than n for k > 2 on
+#: sectors just above 64 states.
 _DENSE_FALLBACK_DIM = 64
 
 #: Davidson subspace size at which a k = 1 solve restarts from its Ritz vector.
@@ -40,6 +45,10 @@ _DAVIDSON_CAP = 24
 #: Entries per Davidson subspace (or its image) at which the cap shrinks,
 #: to no fewer than 8 vectors: 11 at the 184,756 states of N = 20, M = 10.
 _DAVIDSON_ENTRIES = 1 << 21
+
+#: A second Gram-Schmidt pass runs when the first leaves less than this
+#: share of the vector's norm (Daniel, Gragg, Kaufman and Stewart's test).
+_DGKS = 1 / math.sqrt(2)
 
 #: Floor on |diagonal - theta| in the Davidson correction.
 _DAVIDSON_FLOOR = 1e-2
@@ -237,8 +246,8 @@ class Eigenpairs(NamedTuple):
 def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, diagonal=None):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
-    Up to the dense fallback size, or with k > n - 2, the matrix is built
-    column by column and diagonalized.  Otherwise _davidson runs on the
+    Up to the dense fallback size times k, the matrix is built column by
+    column and diagonalized.  Otherwise _davidson runs on the
     operator's ``diagonal`` from the k rows of ``v0`` (for k = 1, a
     vector), or from the k lowest-diagonal unit vectors plus a perturbation
     drawn from ``seed``; ``maxiter`` caps its steps, one matvec each.  A
@@ -251,7 +260,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
         raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
     if diagonal is None:
         raise InvariantViolation("the solve needs the operator's diagonal")
-    if n <= _DENSE_FALLBACK_DIM or k > n - 2:
+    if n <= _DENSE_FALLBACK_DIM * k:
         h = np.empty((n, n))
         e = np.zeros(n)
         for i in range(n):
@@ -285,12 +294,13 @@ def _davidson_cap(n: int) -> int:
 def eigensolver_entries(n: int) -> int:
     """Entries a k = 1 lowest_eigenpairs solve holds beyond
     its operator: the dense matrix up to the fallback size, otherwise the
-    Davidson subspace and its image, their projected matrix and the
-    vectors x, Hx, r and t."""
+    Davidson subspace and its image, their projected matrix, the
+    eigenvalues and the Ritz coefficients of that matrix, and the vectors
+    x, Hx, r and t."""
     if n <= _DENSE_FALLBACK_DIM:
         return n * n
     cap = _davidson_cap(n)
-    return (2 * cap + 4) * n + cap**2
+    return (2 * cap + 4) * n + cap**2 + 2 * cap
 
 
 def _davidson(matvec, diagonal, start, tol, maxiter):
@@ -299,30 +309,35 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     the worst residual norm ||Hx - theta x|| of their own recurrence, and
     the steps taken.
 
-    Each step orthonormalizes one vector against the subspace (twice),
-    adds it and takes one matvec: first the rows of start, then the
-    correction r / max(|diagonal - theta|, floor) of the lowest pair not
-    yet converged.  A full subspace, _davidson_cap(n) + 2(k - 1) vectors
-    or n, restarts from its k Ritz vectors, whose images it keeps.  A pair
+    Each step orthonormalizes one vector against the subspace (a second
+    pass only where the first leaves less than _DGKS of its norm), adds
+    it and takes one matvec: first the rows of start, then the correction
+    r / max(|diagonal - theta|, floor) of the lowest pair not yet
+    converged.  LAPACK's dsyevr gives the k lowest pairs of the projected
+    matrix, and one (k, j) @ (j, n) product per array the Ritz vectors and
+    their images.  A full subspace, _davidson_cap(n) + 2(k - 1) vectors,
+    restarts from its k Ritz vectors, whose images it keeps.  A pair
     has converged at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the
     roundoff bound _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
     NoConvergence carries the k Ritz values and their worst residual.
     """
     k, n = start.shape
-    cap = min(n, _davidson_cap(n) + 2 * (k - 1))
+    cap = _davidson_cap(n) + 2 * (k - 1)
     basis = np.empty((cap, n))
     image = np.empty((cap, n))
     proj = np.empty((cap, cap))
-    x = np.empty((k, n))
-    hx = np.empty((k, n))
     eps = np.finfo(float).eps
     scale, largest = eps ** (2.0 / 3.0), 0.0
     t = start[0].copy()
     j = 0
     for step in range(1, maxiter + 1):
-        for _ in range(2):
+        before = np.linalg.norm(t)
+        t -= (basis[:j] @ t) @ basis[:j]
+        after = np.linalg.norm(t)
+        if after < before * _DGKS:
             t -= (basis[:j] @ t) @ basis[:j]
-        basis[j] = t / np.linalg.norm(t)
+            after = np.linalg.norm(t)
+        basis[j] = t / after
         image[j] = matvec(basis[j])
         largest = max(largest, float(np.linalg.norm(image[j])))
         proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ image[j]
@@ -330,17 +345,21 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
         if j < k:
             t = start[j].copy()
             continue
-        theta, y = scipy.linalg.eigh(proj[:j, :j], subset_by_index=(0, k - 1))
+        theta, y, _, _, info = _syevr(proj[:j, :j], range="I", il=1, iu=k, lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+        theta = theta[:k]
+        x, hx = y.T @ basis[:j], y.T @ image[:j]
+        r = hx - theta[:, None] * x
+        floor = _DAVIDSON_ROUNDOFF * eps * largest
         worst, lowest = 0.0, None
         for i in range(k):
-            x[i], hx[i] = y[:, i] @ basis[:j], y[:, i] @ image[:j]
-            r = hx[i] - theta[i] * x[i]
-            norm = float(np.linalg.norm(r))
+            norm = float(np.linalg.norm(r[i]))
             worst = max(worst, norm)
-            bound = max(tol * max(abs(theta[i]), scale), _DAVIDSON_ROUNDOFF * eps * largest)
+            bound = max(tol * max(abs(theta[i]), scale), floor)
             if lowest is None and norm > bound:
                 lowest = (norm, bound)
-                t = r / np.maximum(np.abs(diagonal - theta[i]), _DAVIDSON_FLOOR)
+                t = r[i] / np.maximum(np.abs(diagonal - theta[i]), _DAVIDSON_FLOOR)
         if lowest is None:
             return theta, x.T, worst, step
         if j == cap:
@@ -394,9 +413,9 @@ def iterative_ground(
     certifies its residual afresh.  Each pair stops at ``||H x - E x|| <=
     tol * |E|``, sooner where roundoff bounds the residual above that
     (energies near 0).  The start block is drawn from ``seed``, making
-    the run deterministic.  Sectors at or below the dense fallback size
-    (or with k too close to the full dimension for the iteration to run)
-    are solved densely.  A ``max_iterations`` below k raises
+    the run deterministic.  Sectors of at most the dense fallback size
+    per wanted pair (64 k states) are solved densely.  A
+    ``max_iterations`` below k raises
     InvariantViolation.
     """
     action = HamiltonianAction(model, basis)

@@ -195,20 +195,24 @@ def test_ed_iterative_method(eight_path, tmp_path):
     assert doc["n_pairs"] == 4
 
 
-def test_ed_non_convergence_reports_best_estimate(eight_path, tmp_path, capsys, monkeypatch):
+def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch):
     # three Davidson steps for two pairs cannot converge; the CLI prints
-    # the Ritz values and the residual that NoConvergence carries
-    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)  # EIGHT_DOC
+    # the Ritz values and the residual that NoConvergence carries.  Ten
+    # levels at half filling (252 states) are above the dense fallback
+    # of two pairs
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(pairsolve.save_model(model)))
     short = functools.partial(iterative_ground, max_iterations=3)
     with pytest.raises(NoConvergence) as exc:
-        short(model, enumerate_basis(8, 4), k=2)
+        short(model, enumerate_basis(10, 5), k=2)
     monkeypatch.setattr(cli, "iterative_ground", short)
     out = tmp_path / "ed.json"
     code = main(
         [
             "ed",
-            "--model", eight_path,
-            "--pairs", "4",
+            "--model", str(path),
+            "--pairs", "5",
             "--method", "iterative",
             "--k", "2",
             "--out", str(out),
@@ -315,10 +319,14 @@ def test_dmrg_on_toy(toy_path, tmp_path, capsys):
     history = (tmp_path / "run.history.csv").read_text()
     lines = history.splitlines()
     assert lines[0].startswith("iteration,levels_in_superblock,target_pairs,E0,")
-    assert lines[0].endswith(",dim_particle,matvecs,residual,warm_start_overlap")
+    assert lines[0].endswith(
+        ",dim_particle,matvecs,residual,warm_start_overlap,grow_s,setup_s,solve_s,truncate_s"
+    )
     assert len(lines) == 3
     for line in lines[1:]:
-        matvecs, residual, overlap = line.split(",")[8:]
+        matvecs, residual, overlap, *phases = line.split(",")[8:]
+        # --no-timestamp zeroes the phase seconds
+        assert phases == ["0", "0", "0", "0"]
         # the toy's superblocks are solved densely: one matvec per column
         assert int(matvecs) >= 2
         assert 0.0 <= float(residual) <= 1e-10 * abs(float(line.split(",")[3]))
@@ -342,7 +350,9 @@ def test_dmrg_custom_history_path(toy_path, tmp_path):
         ]
     )
     assert code == 0
-    assert hist.read_text().splitlines()[0].endswith(",matvecs,residual,warm_start_overlap")
+    assert hist.read_text().splitlines()[0].endswith(
+        ",matvecs,residual,warm_start_overlap,grow_s,setup_s,solve_s,truncate_s"
+    )
 
 
 def test_dmrg_odd_levels(tmp_path, capsys):

@@ -38,6 +38,7 @@ from pairsolve.dmrg import (
     Modes,
     _plan,
     _Superblock,
+    _density_states,
     _truncate_with_basis,
     vacuum_block,
 )
@@ -93,7 +94,8 @@ def random_block(model, levels, n_bare, rng):
     the kept-state matrix W of the exact core, times the bare patterns."""
     split = len(levels) - n_bare
     core = exact_block(model, levels[:split])
-    core, _, w = _truncate_with_basis(core, *sector_pure_density(core, rng))
+    rho, rank = sector_pure_density(core, rng)
+    core, _, w = _truncate_with_basis(core, _density_states(core, rho), rank)
     return GrownBlock(core, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
 
 
@@ -420,9 +422,7 @@ def test_solve_record_reports_matvecs_residual_and_overlap():
     hole = exact_block(model, [5, 4, 3, 2, 1, 0])
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
     config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-4)
-    e0, psi, _, cold = dmrg._solve_superblock(hole, particle, model, 6, config)
-    op = _Superblock(hole, particle, model, 6)
-    x = op.restrict(psi)
+    e0, op, x, cold = dmrg._solve_superblock(hole, particle, model, 6, config)
     assert cold["residual"] == pytest.approx(np.linalg.norm(op.matvec(x) - e0 * x), rel=1e-8)
     assert 0.0 < cold["residual"] <= config.superblock_tol * abs(e0)
     assert cold["warm_start_overlap"] == 0.0
@@ -478,12 +478,12 @@ def test_embed_guess_uses_the_local_ground_state():
     )
     one = np.ones((1, 1))
     vecs = np.linalg.eigh([[-2.0, -0.7], [-0.7, 4.0]])[1]
-    guess = dmrg._embed_guess(one, one, one, model, 1, 2, 1)
+    guess = dmrg._embed_guess(one, model, 1, 2, 1)
     assert abs(guess[1, 0]) > abs(guess[0, 1])
     assert abs(guess[1, 0] * vecs[0, 0] + guess[0, 1] * vecs[1, 0]) == pytest.approx(1.0, abs=1e-15)
     assert guess[0, 0] == guess[1, 1] == 0.0
-    assert dmrg._embed_guess(one, one, one, model, 1, 2, 0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
-    assert dmrg._embed_guess(one, one, one, model, 1, 2, 2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    assert dmrg._embed_guess(one, model, 1, 2, 0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert dmrg._embed_guess(one, model, 1, 2, 2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -546,7 +546,7 @@ def test_truncation_projects_level_operators(n_explicit, n_bare):
     block, basis = random_block(model, levels, n_bare, rng)
     assert block.n_bare == n_bare
     rho, rank = sector_pure_density(block, rng)
-    new, _, w = _truncate_with_basis(block, rho, rank)
+    new, _, w = _truncate_with_basis(block, _density_states(block, rho), rank)
     assert new.levels == block.levels and new.n_bare == 0
     assert mode_counts(new) == mode_counts(block)
     for kind, ops in enumerate(level_ops(levels, basis @ w)):
@@ -637,6 +637,65 @@ def test_general_blocks_keep_at_most_their_coupling_rank(monkeypatch):
                     assert max(mode_counts(block)) <= min(size, n - size)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_schmidt_states_match_density_matrix_eigenstates(n, seed, data):
+    # on a random sector-pure superblock state, the SVD of its sector
+    # blocks gives the eigenvalues of both reduced density matrices and
+    # keeps their dominant eigenspace wherever the weights leave a gap at
+    # the cut; block sectors without a partner get weight exactly 0
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n)
+    levels = [int(x) for x in rng.permutation(n)]
+    split = data.draw(st.integers(1, n - 1), label="hole levels")
+    blocks = []
+    for side in (levels[:split], levels[split:]):
+        n_bare = data.draw(st.integers(0, min(2, len(side))), label="bare levels")
+        blocks.append(random_block(model, side, n_bare, rng)[0])
+    hole, particle = blocks
+    targets = [t for t in range(n + 1) if np.isin(t - hole.sectors, particle.sectors).any()]
+    target = data.draw(st.sampled_from(targets), label="target")
+    op = _Superblock(hole, particle, model, target)
+    x = rng.normal(size=op.sector_dim)
+    x /= np.linalg.norm(x)
+    psi = op.embed(x)
+    partners = (set(op.secs), {target - s for s in op.secs})
+    for block, side, states, paired in zip(blocks, ("hole", "particle"), op.schmidt(x), partners):
+        eigen = _density_states(block, reduced_density(psi, side))
+        assert len(states) == len(eigen) == len(np.unique(block.sectors))
+        for (rows, weights, vecs), (rows_rho, lams, _) in zip(states, eigen):
+            assert np.array_equal(rows, rows_rho)
+            assert np.all(np.abs(weights - lams) <= 1e-14)
+            assert np.allclose(vecs.T @ vecs, np.eye(len(rows)), rtol=0, atol=1e-13)
+            if block.sectors[rows[0]] not in paired:
+                assert not weights.any()
+        ranked = np.sort(np.concatenate([w for _, w, _ in states]))[::-1]
+        for m in range(1, block.dim):
+            gap = ranked[m - 1] - ranked[m]
+            if gap <= 1e-8:
+                continue
+            w_svd = _truncate_with_basis(block, states, m)[2]
+            w_rho = _truncate_with_basis(block, eigen, m)[2]
+            assert np.allclose(w_svd @ w_svd.T, w_rho @ w_rho.T, rtol=0, atol=1e-14 / gap)
+
+
+def test_general_model_energy_is_reproducible():
+    # kept states come from weights, with exact zeros where a sector block
+    # has no more singular values, so the final energy does not depend on
+    # the solver tolerance or on the start vector's seed beyond roundoff
+    for seed in range(4):
+        model = random_model(np.random.default_rng(seed), 20)
+        energies = [
+            run_infinite(model, DmrgConfig(m=64, total_pairs=5, superblock_tol=tol, seed=s)).final_energy
+            for tol, s in ((1e-10, 0), (1e-12, 0), (1e-10, 7))
+        ]
+        assert max(energies) - min(energies) <= 1e-8 * abs(energies[0]), seed
+
+
 def test_reduced_density_product_state():
     a = np.array([1.0, 2.0, 2.0])
     b = np.array([3.0, 4.0])
@@ -706,6 +765,20 @@ def test_truncate_weight_matches_dropped_eigenvalues():
     # kept states are sector pure, so the projected h stays block diagonal
     diff = new.sectors[:, None] != new.sectors[None, :]
     assert not new.h[diff].any()
+
+
+def test_truncation_ties_go_to_the_lower_sector():
+    # equal weights everywhere: the kept states fill the lowest sectors
+    # first, in their order within the sector
+    block = exact_block(toy_model(), [0, 1])
+    assert block.sectors.tolist() == [0, 1, 1, 2]
+    new, weight = truncate(block, np.eye(4) / 4, 3)
+    assert new.sectors.tolist() == [0, 1, 1]
+    assert weight == pytest.approx(0.25, abs=1e-15)
+    states = _density_states(block, np.eye(4) / 4)
+    w = _truncate_with_basis(block, states, 2)[2]
+    rows, _, vecs = states[1]
+    assert np.array_equal(w[rows, 1], vecs[:, 0])
 
 
 def test_truncate_rank_one_density():
@@ -889,7 +962,7 @@ def test_history_csv_format():
     assert lines[0] == (
         "iteration,levels_in_superblock,target_pairs,E0,"
         "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle,"
-        "matvecs,residual,warm_start_overlap"
+        "matvecs,residual,warm_start_overlap,grow_s,setup_s,solve_s,truncate_s"
     )
     assert len(lines) == 1 + len(res.iterations)
     assert text.endswith("\n")
@@ -898,10 +971,12 @@ def test_history_csv_format():
     # 17 significant digits round-trip exactly
     assert float(first[3]) == res.iterations[0].e0
     for line, rec in zip(lines[1:], res.iterations):
-        matvecs, residual, overlap = line.split(",")[8:]
+        matvecs, residual, overlap, *phases = line.split(",")[8:]
         assert int(matvecs) == rec.matvecs > 0
         assert float(residual) == rec.residual
         assert float(overlap) == rec.warm_start_overlap
+        assert [float(x) for x in phases] == [rec.grow_s, rec.setup_s, rec.solve_s, rec.truncate_s]
+        assert min(float(x) for x in phases) > 0.0
     # the first iteration has no guess; the second is warm-started
     assert res.iterations[0].warm_start_overlap == 0.0
     assert 0.0 < res.iterations[1].warm_start_overlap <= 1.0 + 1e-12

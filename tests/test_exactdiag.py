@@ -284,8 +284,8 @@ def test_rational_eta_equals_eps_reduces_to_constant_pairing():
 
 
 def test_iterative_matches_dense():
-    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.7)
-    basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.7)
+    basis = enumerate_basis(10, 5)  # 252 states, above the dense fallback of 3 pairs
     res_it = iterative_ground(model, basis, k=3, tol=1e-12)
     res_d = dense_spectrum(model, basis)
     assert res_it.method == "iterative"
@@ -294,10 +294,11 @@ def test_iterative_matches_dense():
 
 
 def test_iterative_is_deterministic():
-    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
-    basis = enumerate_basis(8, 4)
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    basis = enumerate_basis(10, 5)  # 252 states, above the dense fallback of 2 pairs
     a = iterative_ground(model, basis, k=2, tol=1e-11, seed=9)
     b = iterative_ground(model, basis, k=2, tol=1e-11, seed=9)
+    assert a.method == "iterative"
     assert np.array_equal(a.energies, b.energies)
 
 
@@ -409,8 +410,8 @@ def test_non_convergence_pairs_energies_with_their_vectors():
     # Rayleigh-Ritz on them gives the energies and the residuals of their
     # own vectors that NoConvergence must carry; here the middle pair's
     # residual is the worst
-    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
-    basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    basis = enumerate_basis(10, 5)  # 252 states, above the dense fallback of 3 pairs
     action = HamiltonianAction(model, basis)
     seen = []
 
@@ -444,7 +445,16 @@ def test_non_convergence_pairs_energies_with_their_vectors():
 
 @pytest.mark.parametrize(
     "n, k, method",
-    [(64, 1, "dense"), (65, 1, "iterative"), (65, 63, "iterative"), (65, 64, "dense")],
+    [
+        (64, 1, "dense"),
+        (65, 1, "iterative"),
+        (65, 63, "dense"),
+        (65, 64, "dense"),
+        (128, 2, "dense"),
+        (129, 2, "iterative"),
+        (384, 6, "dense"),
+        (385, 6, "iterative"),
+    ],
 )
 def test_lowest_eigenpairs_dense_crossover(n, k, method):
     rng = np.random.default_rng(n)
