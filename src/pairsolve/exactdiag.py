@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dsyevr as _syevr
 
 from .basis import PairBasis, enumerate_basis
 from .errors import (
@@ -33,11 +32,15 @@ from .model import PairingModel
 DENSE_THRESHOLD = 4000
 
 #: lowest_eigenpairs diagonalizes operators up to this size per wanted
-#: pair densely.  Davidson spent up to about 52 matvecs per pair (k = 1..8,
-#: tol 1e-12) on random general sectors of N = 8..16 levels and on
-#: degenerate reduced BCS sectors of N = 12, so more than n for k > 2 on
-#: sectors just above 64 states.
+#: pair densely, for at most _DENSE_FALLBACK_PAIRS pairs.  Davidson spent
+#: up to about 52 matvecs per pair (k = 1..8, tol 1e-12) on random general
+#: sectors of N = 8..16 levels and on degenerate reduced BCS sectors of
+#: N = 12, so more than n for k > 2 on sectors just above 64 states.
 _DENSE_FALLBACK_DIM = 64
+
+#: Largest k the dense fallback grows with: the counts above go no
+#: further, and a dense build of n^2 entries outgrows Davidson's ~4kn.
+_DENSE_FALLBACK_PAIRS = 8
 
 #: Davidson subspace size at which a k = 1 solve restarts from its Ritz vector.
 _DAVIDSON_CAP = 24
@@ -246,12 +249,13 @@ class Eigenpairs(NamedTuple):
 def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, diagonal=None):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
-    Up to the dense fallback size times k, the matrix is built column by
-    column and diagonalized.  Otherwise _davidson runs on the
-    operator's ``diagonal`` from the k rows of ``v0`` (for k = 1, a
-    vector), or from the k lowest-diagonal unit vectors plus a perturbation
-    drawn from ``seed``; ``maxiter`` caps its steps, one matvec each.  A
-    ``maxiter`` below k, or no ``diagonal``, raises InvariantViolation.
+    Up to the dense fallback size times min(k, 8), or with k > n - 2, the
+    matrix is built column by column and diagonalized.  Otherwise
+    _davidson runs on the operator's ``diagonal`` from the k rows of
+    ``v0`` (for k = 1, a vector), or from the k lowest-diagonal unit
+    vectors plus a perturbation drawn from ``seed``; ``maxiter`` caps its
+    steps, one matvec each.  A ``maxiter`` below k, or no ``diagonal``,
+    raises InvariantViolation.
     """
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
@@ -260,7 +264,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
         raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
     if diagonal is None:
         raise InvariantViolation("the solve needs the operator's diagonal")
-    if n <= _DENSE_FALLBACK_DIM * k:
+    if n <= _DENSE_FALLBACK_DIM * min(k, _DENSE_FALLBACK_PAIRS) or k > n - 2:
         h = np.empty((n, n))
         e = np.zeros(n)
         for i in range(n):
@@ -313,16 +317,16 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     pass only where the first leaves less than _DGKS of its norm), adds
     it and takes one matvec: first the rows of start, then the correction
     r / max(|diagonal - theta|, floor) of the lowest pair not yet
-    converged.  LAPACK's dsyevr gives the k lowest pairs of the projected
-    matrix, and one (k, j) @ (j, n) product per array the Ritz vectors and
-    their images.  A full subspace, _davidson_cap(n) + 2(k - 1) vectors,
-    restarts from its k Ritz vectors, whose images it keeps.  A pair
-    has converged at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the
-    roundoff bound _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
+    converged.  One (k, j) @ (j, n) product per array gives the Ritz
+    vectors and their images.  A full subspace, _davidson_cap(n) +
+    2(k - 1) vectors or n, restarts from its k Ritz vectors, whose images
+    it keeps.  A pair has converged at ||r|| <= tol * max(|theta|,
+    eps^(2/3)), or at the roundoff bound _DAVIDSON_ROUNDOFF * eps *
+    max ||H t||, if larger.
     NoConvergence carries the k Ritz values and their worst residual.
     """
     k, n = start.shape
-    cap = _davidson_cap(n) + 2 * (k - 1)
+    cap = min(n, _davidson_cap(n) + 2 * (k - 1))
     basis = np.empty((cap, n))
     image = np.empty((cap, n))
     proj = np.empty((cap, cap))
@@ -345,10 +349,9 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
         if j < k:
             t = start[j].copy()
             continue
-        theta, y, _, _, info = _syevr(proj[:j, :j], range="I", il=1, iu=k, lower=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
-        theta = theta[:k]
+        theta, y = scipy.linalg.eigh(
+            proj[:j, :j], subset_by_index=(0, k - 1), check_finite=False
+        )
         x, hx = y.T @ basis[:j], y.T @ image[:j]
         r = hx - theta[:, None] * x
         floor = _DAVIDSON_ROUNDOFF * eps * largest
@@ -413,9 +416,9 @@ def iterative_ground(
     certifies its residual afresh.  Each pair stops at ``||H x - E x|| <=
     tol * |E|``, sooner where roundoff bounds the residual above that
     (energies near 0).  The start block is drawn from ``seed``, making
-    the run deterministic.  Sectors of at most the dense fallback size
-    per wanted pair (64 k states) are solved densely.  A
-    ``max_iterations`` below k raises
+    the run deterministic.  Sectors of at most 64 min(k, 8) states, or
+    with k too close to the full dimension for the iteration to run, are
+    solved densely.  A ``max_iterations`` below k raises
     InvariantViolation.
     """
     action = HamiltonianAction(model, basis)

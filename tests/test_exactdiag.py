@@ -454,6 +454,10 @@ def test_non_convergence_pairs_energies_with_their_vectors():
         (129, 2, "iterative"),
         (384, 6, "dense"),
         (385, 6, "iterative"),
+        (512, 9, "dense"),
+        (513, 9, "iterative"),
+        (513, 511, "iterative"),
+        (513, 512, "dense"),
     ],
 )
 def test_lowest_eigenpairs_dense_crossover(n, k, method):
