@@ -23,18 +23,19 @@ growth sums along the coupling first, truncation projects through reshapes
 of the kept-state matrix, and the superblock matvec runs over the
 (s, t - s) pair-sector blocks of its target sector t, each in the
 eigenbasis of its two block Hamiltonians, whose diagonal preconditions
-the Davidson solve.  A grown block drops the core Hamiltonian.  Stored
-mode entries, counted in the 3-per-level convention as two per raise
-mode and one per number mode, stay within 3*m^2*N for every m >= 2;
-the two block Hamiltonians add at most
-(4m)^2 + m^2 entries (only one side grows by two levels in an iteration,
-and then the other does not grow).  Solver work arrays are accounted
-separately.
+the Davidson solve, with the coupling's R factored terms stacked per edge
+between sector blocks, so an edge costs two products whatever R is.  A
+grown block drops the core Hamiltonian.  Stored mode entries, counted in
+the 3-per-level convention as two per raise mode and one per number
+mode, stay within 3*m^2*N for every m >= 2; the two block Hamiltonians
+add at most (4m)^2 + m^2 entries (only one side grows by two levels in an
+iteration, and then the other does not grow).  Solver work arrays are
+accounted separately.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -113,11 +114,12 @@ class Block:
         return self.dim >> self.n_bare
 
     def _mode_sum(self, kind: int, y) -> np.ndarray:
-        """sum_r y_r (mode r of ``kind``) on the block basis."""
+        """sum_r y[r, c] (mode r of ``kind``) on the block basis, one
+        operator per column c of the r x R weights y, stacked (R, dim, dim)."""
         ops, span = self.modes[kind]
-        out = np.einsum("r,rij->ij", y, ops)
+        out = np.einsum("rc,rij->cij", y, ops)
         for c in span[len(span) - self.n_bare :] @ y:  # bare levels, in order
-            out = _kron_sum(out, c * _SITES[kind])
+            out = _kron_sum(out, np.multiply.outer(c, _SITES[kind]))
         return out
 
     def _weighted(self, coeffs, kind) -> np.ndarray:
@@ -126,7 +128,7 @@ class Block:
         y = span.T @ c
         if np.linalg.norm(c - span @ y) > _SPAN_TOL * np.linalg.norm(c):
             raise InvariantViolation("coefficients reach outside the block's coupling modes")
-        return self._mode_sum(kind, y)
+        return self._mode_sum(kind, y[:, None])[0]
 
     def weighted_raise(self, coeffs) -> np.ndarray:
         """sum_i coeffs[i] b_i over ``levels``; coeffs must lie in the modes' span."""
@@ -148,12 +150,15 @@ class Block:
 
 
 def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x (x) I + I (x) y, written straight onto the diagonals it touches."""
-    dx, dy = len(x), len(y)
-    out = np.zeros((dx, dy, dx, dy))
-    out[:, range(dy), :, range(dy)] = x
-    out[range(dx), :, range(dx), :] += y
-    return out.reshape(dx * dy, dx * dy)
+    """x (x) I + I (x) y, written straight onto the diagonals it touches;
+    leading axes of x and y stack operators pairwise."""
+    *stack, dx, _ = x.shape
+    dy = y.shape[-1]
+    out = np.zeros((*stack, dx, dy, dx, dy))
+    # einsum's diagonal views are writeable
+    np.einsum("...ajbj->...abj", out)[...] = x[..., None]
+    np.einsum("...iaib->...iab", out)[...] += y[..., None, :, :]
+    return out.reshape(*stack, dx * dy, dx * dy)
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,13 +181,12 @@ def _svd(k: np.ndarray):
 
 
 def _factor(a: Block, b: Block, coupling: np.ndarray, kind: int):
-    """Operator pairs (X, Y), one per singular value of the r_a x r_b mode
-    coupling, with sum_ij coupling[i, j] o_i (x) o_j = sum X (x) Y over the
-    levels of a and b; yielded one at a time."""
+    """Singular values s of the r_a x r_b mode coupling and weights ya, yb
+    with sum_ij coupling[i, j] o_i (x) o_j = sum_c X[c] (x) Y[c] over the
+    levels of a and b, X = a._mode_sum(kind, ya), Y = b._mode_sum(kind, yb)."""
     u, s, vt = _svd(a.modes[kind].span.T @ coupling @ b.modes[kind].span)
-    for r, sr in enumerate(s):
-        w = np.sqrt(sr)
-        yield a._mode_sum(kind, w * u[:, r]), b._mode_sum(kind, w * vt[r])
+    w = np.sqrt(s)
+    return s, u * w, vt.T * w
 
 
 def _join(a: Block, b: Block, model: PairingModel):
@@ -193,12 +197,15 @@ def _join(a: Block, b: Block, model: PairingModel):
     """
     h = _kron_sum(a.h, b.h)
     ix = np.ix_(list(a.levels), list(b.levels))
-    for x, y in _factor(a, b, model.v1[ix], _RAISE):
-        hop = _kron(x, y.T)
-        h += hop
-        h += hop.T
-    for x, y in _factor(a, b, 2.0 * model.v2[ix], _NUMBER):
-        h += _kron(x, y)
+    for kind, coupling in ((_RAISE, model.v1[ix]), (_NUMBER, 2.0 * model.v2[ix])):
+        s, ya, yb = _factor(a, b, coupling, kind)
+        for x, y in zip(a._mode_sum(kind, ya), b._mode_sum(kind, yb)) if len(s) else ():
+            if kind == _NUMBER:
+                h += _kron(x, y)
+                continue
+            hop = _kron(x, y.T)
+            h += hop
+            h += hop.T
     return np.add.outer(a.sectors, b.sectors).ravel(), h
 
 
@@ -347,20 +354,20 @@ def init_blocks(model: PairingModel, config: DmrgConfig):
 class _Superblock:
     """Matrix-free superblock Hamiltonian restricted to one pair sector.
 
-    Cross-block couplings are factored by SVD of the r_h x r_p coupling
-    between the two blocks' modes, giving one composite operator pair per
-    retained singular value (rank 1 for constant pairing).  The target
-    sector t splits into blocks (s, t - s) of hole sector s and particle
-    sector t - s, one for each s present on both sides.  Each block works
-    in the eigenbasis of its two block-Hamiltonian sub-blocks, where
+    The target sector t splits into blocks (s, t - s) of hole sector s and
+    particle sector t - s, one for each s present on both sides, each in
+    the eigenbasis of its two block-Hamiltonian sub-blocks, where
     ``hh_s (x) 1 + 1 (x) hp_s`` is the elementwise product with
-    ``D_s = e_h[:, None] + e_p[None, :]``; the number terms within a block
-    and the pair hops between blocks s and s + 1 are rotated into those
-    bases once, at construction.  A matvec is a sum of small products over
-    the blocks and forms no dense dh x dp state.  The vector holds the
-    blocks in order of s, each row-major; ``embed`` and ``restrict`` rotate
-    to and from the dh x dp product space, ``diagonal`` is D, and
-    ``schmidt`` decomposes a state into the two blocks' candidate states.
+    ``D_s = e_h[:, None] + e_p[None, :]``.  A coupling is factored by SVD
+    of the r_h x r_p mode coupling into R terms A_r (x) C_r (the singular
+    values are ``raise_terms`` and ``number_terms``).  Each sector edge
+    (dst, src), number terms on (s, s) and pair hops between s and s + 1,
+    stacks its R rotated terms: A as (h_dst R) x h_src, C as (R p_src) x
+    p_dst, so that A @ x viewed as h_dst x (R p_src), times C, is
+    sum_r A_r x C_r, and a hop's reverse reads both transposed.  The vector
+    holds the blocks in order of s, each row-major; ``embed`` and
+    ``restrict`` rotate to and from the dh x dp product space, ``diagonal``
+    is D, and ``schmidt`` decomposes a state into the two blocks' states.
     """
 
     def __init__(self, hole, particle, model: PairingModel, target: int):
@@ -387,35 +394,55 @@ class _Superblock:
             (slice(end - len(h) * len(p), end), (len(h), len(p)))
             for end, h, p in zip(ends, hs, ps)
         ]
-        hops = [k for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
+        # a hop is applied both ways, each at the cost R h_dst p_src
+        # (h_src + p_dst) of the direction it is stored in
+        cost = lambda d, c: len(hs[d]) * len(ps[c]) * (len(hs[c]) + len(ps[d]))
+        hops = [min((k + 1, k), (k, k + 1), key=lambda edge: cost(*edge))
+                for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
         ix = np.ix_(list(hole.levels), list(particle.levels))
-        self.raise_terms = [
-            [(k, uh[k + 1].T @ a[np.ix_(hs[k + 1], hs[k])] @ uh[k],
-              up[k].T @ c[np.ix_(ps[k], ps[k + 1])] @ up[k + 1])
-             for k in hops]
-            for a, c in _factor(hole, particle, model.v1[ix], _RAISE)
-        ]
-        self.number_terms = [
-            [(u.T @ d[np.ix_(h, h)] @ u, v.T @ e[np.ix_(p, p)] @ v)
-             for h, p, u, v in self.blocks]
-            for d, e in _factor(hole, particle, 2.0 * model.v2[ix], _NUMBER)
-        ]
+        self.raise_terms, self.hops = self._stack(hole, particle, model.v1[ix], _RAISE, hops)
+        self.number_terms, self.numbers = self._stack(
+            hole, particle, 2.0 * model.v2[ix], _NUMBER, [(k, k) for k in range(len(secs))]
+        )
+
+    def _stack(self, hole, particle, coupling, kind, edges):
+        """Singular values of the factored coupling and its terms stacked per
+        edge as (dst, src, A, C), formed one term (per side) at a time."""
+        s, ya, yb = _factor(hole, particle, coupling, kind)
+        edges = edges if len(s) else []
+        hs, ps, uh, up = zip(*self.blocks)
+        cuts = [(np.ix_(hs[d], hs[c]), np.ix_(ps[c], ps[d])) for d, c in edges]
+        a = [np.empty((len(hs[d]), len(s), len(hs[c]))) for d, c in edges]
+        e = [np.empty((len(s), len(ps[c]), len(ps[d]))) for d, c in edges]
+        for r in range(len(s)):
+            x, y = hole._mode_sum(kind, ya[:, [r]])[0], particle._mode_sum(kind, yb[:, [r]])[0]
+            for (d, c), (ih, ip), ar, er in zip(edges, cuts, a, e):
+                xe, ye = (x, y) if d >= c else (x.T, y.T)  # the hop lowering the hole
+                ar[:, r] = uh[d].T @ xe[ih] @ uh[c]
+                er[r] = up[c].T @ ye[ip] @ up[d]
+        return s, [(d, c, ar.reshape(-1, len(hs[c])), er.reshape(-1, len(ps[d])))
+                   for (d, c), ar, er in zip(edges, a, e)]
 
     @property
     def sector_dim(self) -> int:
         return len(self.diagonal)
 
     def work_entries(self) -> int:
-        """Entries held for the solve: the sector eigenbases and their
-        index arrays, D, the rotated number and hop sub-blocks, one
-        matvec's result and its two largest product temporaries, and the
-        eigensolver's own arrays (``eigensolver_entries``)."""
-        held = sum(h.size + p.size + u.size + v.size for h, p, u, v in self.blocks)
-        held += sum(a.size + c.size for t in self.raise_terms for _, a, c in t)
-        held += sum(d.size + e.size for t in self.number_terms for d, e in t)
-        largest = max(len(h) * len(p) for h, p, _, _ in self.blocks)
+        """Entries held for the solve: the operator's float arrays (the
+        sector eigenbases, D, the stacked edges and the singular values),
+        one matvec's result, its largest stacked temporary R h_dst p_src
+        with the product formed from it, and the eigensolver's own arrays
+        (``eigensolver_entries``)."""
+        shapes = [shape for _, shape in self._slices]
+        held = self.diagonal.size + self.raise_terms.size + self.number_terms.size
+        held += sum(u.size + v.size for _, _, u, v in self.blocks)
+        temp = 0
+        for d, c, a, e in self.numbers + self.hops:
+            held += a.size + e.size
+            (hd, pd), (hs, ps) = shapes[d], shapes[c]
+            temp = max(temp, len(a) * ps + max(hd * pd, hs * ps))
         n = self.sector_dim
-        return held + 2 * n + 2 * largest + eigensolver_entries(n)
+        return held + n + temp + eigensolver_entries(n)
 
     def _split(self, x: np.ndarray):
         return [x[i].reshape(shape) for i, shape in self._slices]
@@ -424,13 +451,10 @@ class _Superblock:
         xs = self._split(x)
         y = self.diagonal * x
         ys = self._split(y)
-        for term in self.number_terms:
-            for yk, b, (d, e) in zip(ys, xs, term):
-                yk += d @ b @ e
-        for term in self.raise_terms:
-            for k, a, c in term:
-                ys[k + 1] += a @ xs[k] @ c
-                ys[k] += a.T @ xs[k + 1] @ c.T
+        for d, c, a, e in self.numbers + self.hops:
+            ys[d] += (a @ xs[c]).reshape(len(ys[d]), -1) @ e
+        for d, c, a, e in self.hops:
+            ys[c] += a.T @ (xs[d] @ e.T).reshape(len(a), -1)
         return y
 
     def embed(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,32 @@ def random_block(model, levels, n_bare, rng):
     rho, rank = sector_pure_density(core, rng)
     core, _, w = _truncate_with_basis(core, _density_states(core, rho), rank)
     return GrownBlock(core, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
+
+
+def truncated_block(model, levels, m, rng):
+    """Block over ``levels``: all but the last kept to m states by a random
+    sector-pure density, then the last one bare; and its basis, as in
+    ``random_block``."""
+    core = exact_block(model, levels[:-1])
+    rho, _ = sector_pure_density(core, rng)
+    core, _, w = _truncate_with_basis(core, _density_states(core, rho), m)
+    return GrownBlock(core, levels[-1:], model), np.kron(w, np.eye(2))
+
+
+def held_float_entries(obj) -> int:
+    """Entries of the distinct float arrays that ``obj`` holds in its
+    attributes, directly or in lists, tuples and dicts."""
+    seen, total, todo = set(), 0, list(vars(obj).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, np.ndarray) and x.dtype.kind == "f" and id(x) not in seen:
+            seen.add(id(x))
+            total += x.size
+    return total
 
 
 def level_ops(levels, basis):
@@ -635,6 +662,67 @@ def test_general_blocks_keep_at_most_their_coupling_rank(monkeypatch):
                 size = len(grown.levels)
                 for block in (grown, kept):
                     assert max(mode_counts(block)) <= min(size, n - size)
+
+
+def full_rank_superblock():
+    """A 16-level general model split 8 | 8 into two blocks of 32 states,
+    each with 8 raise and 8 number modes, and its 221-state sector of 6
+    pairs: the two blocks, their bases and the operator."""
+    rng = np.random.default_rng(0)
+    model = random_model(rng, 16)
+    sides = ([7, 6, 5, 4, 3, 2, 1, 0], list(range(8, 16)))
+    hole, particle = (truncated_block(model, side, 16, rng) for side in sides)
+    return model, hole, particle, _Superblock(hole[0], particle[0], model, 6)
+
+
+def test_stacked_superblock_matches_kronecker_products_at_full_rank():
+    # blocks of <= 10 levels above carry few modes; here every one of the
+    # 8 raise and 8 number terms is stacked on each edge, and the sector,
+    # above the dense crossover, has 4 hop edges
+    model, (hole, hole_basis), (particle, particle_basis), op = full_rank_superblock()
+    assert mode_counts(hole) == mode_counts(particle) == (8, 8)
+    assert op.sector_dim == 221 and len(op.hops) == 4 and len(op.numbers) == 5
+    ix = np.ix_(hole.levels, particle.levels)
+    for kind, (coupling, terms) in enumerate(
+        ((model.v1[ix], op.raise_terms), (2.0 * model.v2[ix], op.number_terms))
+    ):
+        modes = hole.modes[kind].span.T @ coupling @ particle.modes[kind].span
+        assert len(terms) == np.linalg.matrix_rank(modes) == 8
+    h = kronecker_superblock(hole, hole_basis, particle, particle_basis, model)
+    rng = np.random.default_rng(1)
+    for x in [*rng.normal(size=(3, op.sector_dim)), *np.eye(op.sector_dim)[[0, 100, 220]]]:
+        want = op.restrict(h @ op.embed(x).ravel())
+        assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
+    mask = np.add.outer(hole.sectors, particle.sectors).ravel() == 6
+    config = DmrgConfig(m=2, total_pairs=0, superblock_tol=1e-12)
+    e0, _, _, record = dmrg._solve_superblock(hole, particle, model, 6, config)
+    assert 0 < record["matvecs"] < op.sector_dim  # Davidson, not a dense build
+    assert e0 == pytest.approx(np.linalg.eigvalsh(h[np.ix_(mask, mask)])[0], rel=1e-10)
+
+
+def test_superblock_work_entries_count_what_it_holds():
+    # the held part is every float array of the operator; the rest is one
+    # matvec's result and its largest live temporaries, as traced, plus the
+    # headers of the arrays a matvec makes
+    bcs = build_reduced_bcs(np.arange(1.0, 13.0), 0.3)
+    general = random_model(np.random.default_rng(3), 14)
+    ops = [
+        _Superblock(exact_block(model, levels[:n][::-1]), exact_block(model, levels[n:]), model, n)
+        for model, n, levels in ((bcs, 6, list(range(12))), (general, 7, list(range(14))))
+    ]
+    assert [(len(op.raise_terms), len(op.number_terms)) for op in ops] == [(1, 0), (7, 7)]
+    for op in ops:
+        n = op.sector_dim
+        matvec_part = op.work_entries() - held_float_entries(op) - exactdiag.eigensolver_entries(n)
+        x = np.random.default_rng(2).normal(size=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op.matvec(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 <= peak - 8 * matvec_part <= 4096
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
