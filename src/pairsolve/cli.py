@@ -170,6 +170,8 @@ def cmd_ed(args) -> int:
     print(f"sector dimension: {basis.dim}")
     print(f"method: {result.method}")
     print(f"ground energy: {float(result.energies[0])!r}")
+    print(f"matvecs: {result.matvecs}")
+    print(f"residual: {float(result.residual)!r}")
     if not args.no_timestamp:
         print(f"wall seconds: {elapsed:.3f}")
     _write_json(args.out, result.to_json_dict(), args.no_timestamp)

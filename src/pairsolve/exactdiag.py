@@ -1,13 +1,14 @@
 """Exact spectra in the seniority-zero pair sector.
 
-Provides a matrix-free Hamiltonian action over a PairBasis (one scatter,
-one small dense product and one gather per application), a dense
-full-spectrum solver for small sectors (the verification oracle), an
-iterative solver for large ones, and lowest_eigenpairs, the eigensolver
-entry point that the DMRG superblock solve shares.  Above the dense
-fallback size, the lowest k states are found by Davidson's method
-preconditioned with the operator's diagonal, in a subspace held to a
-fixed number of entries plus two vectors per extra state.
+Provides a matrix-free Hamiltonian action over a PairBasis (C (v1 (x) 1)
+C^T with one sparse pair-lowering matrix C, or g (P^T P - min(M, N-M))
+for the constant hop g of reduced BCS), a dense full-spectrum solver for
+small sectors (the verification oracle), an iterative solver for large
+ones, and lowest_eigenpairs, the eigensolver entry point that the DMRG
+superblock solve shares.  Above the dense fallback size, the lowest k
+states are found by Davidson's method preconditioned with the operator's
+diagonal, in a subspace held to a fixed number of entries plus two
+vectors per extra state.
 """
 from __future__ import annotations
 
@@ -67,9 +68,6 @@ _DAVIDSON_ROUNDOFF = 10
 #: States per step when the diagonal and slot table are built.
 _CHUNK = 1 << 16
 
-#: Buffer columns per in-place product and states per gather in apply.
-_BLOCK = 1 << 11
-
 
 def matrix_element(model: PairingModel, s: int, t: int) -> float:
     """Hamiltonian matrix element between two occupation patterns.
@@ -100,16 +98,21 @@ class HamiltonianAction:
     """Matrix-free action of one model on one sector.
 
     A pair hop empties one level and fills another, so the hop sum is
-    ``B^T (v1 (x) 1) B`` with B clearing one level: a pair, into the
-    sector with one pair fewer, or above half filling a hole, into the
-    smaller sector with one pair more.  With ``d`` that sector's size, a
-    ``(dim, min(M, N-M))`` table holds each state's slots ``level * d +
-    colex rank of the neighbour``.  ``apply`` scatters x into one ``N x d``
-    buffer, multiplies it by v1 in place and sums each state's slots back,
-    so it is not reentrant.  M = 0 and M = N keep the diagonal only.
+    ``C (K (x) 1) C^T``: C^T clears one level, a pair into the sector with
+    one pair fewer or, above half filling, a hole into the smaller sector
+    with one pair more.  C is CSR, with ``min(M, N-M)`` unit entries per
+    state at columns ``level * d + colex rank of the neighbour`` (int32
+    below 2^31), d that sector's size, and K = v1; ``apply`` forms K Z in
+    one held ``N x d`` buffer, so it is not reentrant.  A constant hop
+    v1 = g (reduced BCS) collapses the level axis to ``g (P^T P - min(M,
+    N-M))`` with P = sum_i b_i: C's columns are the d ranks alone, K =
+    [[g]], and ``diagonal`` stays H's own.  M = 0 and M = N keep the
+    diagonal only.
     """
 
     def __init__(self, model: PairingModel, basis: PairBasis):
+        import scipy.sparse
+
         if model.n_levels != basis.n_levels:
             raise DimensionMismatch(
                 f"model has {model.n_levels} levels, basis {basis.n_levels}"
@@ -119,27 +122,37 @@ class HamiltonianAction:
         n, m, dim = basis.n_levels, basis.n_pairs, basis.dim
         width = min(m, n - m)
         other = math.comb(n, width - 1) if width else 0
+        hop = model.v1[~np.eye(n, dtype=bool)]
+        g = float(hop[0]) if hop.size else 0.0
+        collapsed = bool(np.all(hop == g))
+        self._k = np.array([[g]]) if collapsed else model.v1
+        self._shift = g * width if collapsed else 0.0
+        self._buffer = None if collapsed else np.empty((n, other))
+        cols = len(self._k) * other
+        index = np.int32 if max(cols, dim * width) < 2**31 else np.int64
         binom = np.array([[math.comb(p, c) for c in range(width + 1)] for p in range(n)])
         k = np.arange(width)
         bits = np.arange(n, dtype=np.int64)
         self.diagonal = np.empty(dim)
-        slots = np.empty((dim, width), dtype=np.int64)
+        self._slots = np.empty((dim, width), dtype=index)
         for lo in range(0, dim, _CHUNK):
             occ = (basis.patterns[lo : lo + _CHUNK, None] >> bits) & 1
             f = occ.astype(float)
             self.diagonal[lo : lo + _CHUNK] = 2.0 * f @ model.eps + 4.0 * np.einsum(
                 "ai,ai->a", f @ model.v2, f
             )
-            # B clears one of the levels p_0 < p_1 < ... (set levels, or
+            # C^T clears one of the levels p_0 < p_1 < ... (set levels, or
             # empty ones above half filling); clearing p_k leaves the colex
             # rank sum_{i<k} C(p_i, i + 1) + sum_{i>k} C(p_i, i)
             pos = (np.flatnonzero(occ if m == width else 1 - occ) % n).reshape(len(occ), width)
             kept, moved = binom[pos, k + 1], binom[pos, k]
             rank = np.cumsum(kept, axis=1) - kept
             rank += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
-            slots[lo : lo + _CHUNK] = pos * other + rank
-        self._slots = slots if width else None
-        self._buffer = np.empty((n, other)) if width else None
+            self._slots[lo : lo + _CHUNK] = rank if collapsed else pos * other + rank
+        self._indptr = np.arange(dim + 1, dtype=index) * width
+        self._matrix = scipy.sparse.csr_matrix(
+            (np.ones(dim * width), self._slots.reshape(-1), self._indptr), shape=(dim, cols)
+        )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = H x without materializing H; fixed summation order."""
@@ -149,37 +162,23 @@ class HamiltonianAction:
                 f"amplitude vector has shape {x.shape}, basis size is "
                 f"{self.basis.dim}"
             )
-        y = self.diagonal * x
-        if self._slots is None:
-            return y
-        z = self._buffer
-        flat = z.reshape(-1)
-        # slots that no state fills must read as zero in the product
-        z.fill(0.0)
-        flat[self._slots] = x[:, None]
-        for lo in range(0, z.shape[1], _BLOCK):
-            z[:, lo : lo + _BLOCK] = self.model.v1 @ z[:, lo : lo + _BLOCK]
-        for lo in range(0, len(y), _BLOCK):
-            y[lo : lo + _BLOCK] += flat[self._slots[lo : lo + _BLOCK]].sum(axis=1)
+        z = (self._matrix.T @ x).reshape(len(self._k), -1)
+        y = self._matrix @ np.matmul(self._k, z, out=self._buffer).reshape(-1)
+        y += (self.diagonal - self._shift) * x
         return y
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit symmetric matrix; intended for small sectors only.
 
-        Each off-diagonal entry receives exactly one v1 value.
+        Two states one hop apart share exactly one neighbour, so each
+        off-diagonal entry of ``C (K (x) 1) C^T`` is exactly one v1 value.
         """
-        dim = self.basis.dim
-        h = np.zeros((dim, dim))
-        if self._slots is not None:
-            owner = np.full(self._buffer.size, -1)
-            owner[self._slots] = np.arange(dim)[:, None]
-            level, rank = np.divmod(self._slots, self._buffer.shape[1])
-            # target[j, s, k]: the state whose level-j slot holds the same
-            # neighbour pattern as state s's k-th slot, or -1
-            target = owner.reshape(self._buffer.shape)[:, rank]
-            j, s, k = np.nonzero(target >= 0)
-            h[s, target[j, s, k]] += self.model.v1[level[s, k], j]
-        h[np.arange(dim), np.arange(dim)] = self.diagonal
+        import scipy.sparse
+
+        c = self._matrix
+        k = scipy.sparse.kron(self._k, scipy.sparse.identity(c.shape[1] // len(self._k)))
+        h = (c @ k @ c.T).toarray()
+        np.fill_diagonal(h, self.diagonal)
         return h
 
 

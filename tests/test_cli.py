@@ -177,7 +177,7 @@ def test_ed_k_slices_dense_spectrum(toy_path, tmp_path):
     assert len(json.loads(out.read_text())["energies"]) == 3
 
 
-def test_ed_iterative_method(eight_path, tmp_path):
+def test_ed_iterative_method(eight_path, tmp_path, capsys):
     out = tmp_path / "ed.json"
     code = main(
         [
@@ -193,6 +193,14 @@ def test_ed_iterative_method(eight_path, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["method"] == "iterative"
     assert doc["n_pairs"] == 4
+    # the solve's work and certificate follow the energy on stdout
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("ground energy: "))
+    assert lines[at + 1 : at + 3] == [
+        f"matvecs: {doc['matvecs']}",
+        f"residual: {doc['residual']!r}",
+    ]
+    assert doc["matvecs"] > 0
 
 
 def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch):

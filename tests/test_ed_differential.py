@@ -1,10 +1,11 @@
 """Randomized differential tests of the exact-diagonalization layer.
 
-Random general and integrable models with up to ten levels, at every
-filling, are checked against the matrix built one element at a time with
-``matrix_element`` and against exact invariants of the spectrum; the
-Davidson ground states and four lowest states of sectors above the dense
-fallback size are checked against the dense spectrum.
+Random general, integrable and reduced BCS models with up to ten levels,
+at every filling, are checked against the matrix built one element at a
+time with ``matrix_element`` and against exact invariants of the
+spectrum, and reduced BCS also at every filling of eight and nine
+levels; the Davidson ground states and four lowest states of sectors
+above the dense fallback size are checked against the dense spectrum.
 """
 import math
 
@@ -61,7 +62,7 @@ def elementwise_matrix(model, basis):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     n=st.integers(2, 10),
-    kind=st.sampled_from(["general", *FamilyKind]),
+    kind=st.sampled_from(["general", "reduced_bcs", *FamilyKind]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
@@ -70,6 +71,10 @@ def test_action_agrees_with_matrix_elements_and_invariants(n, kind, seed, data):
     rng = np.random.default_rng(seed)
     if kind == "general":
         model = general_model(rng, n)
+    elif kind == "reduced_bcs":
+        # the constant hop collapses the action's level axis
+        sign = data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="sign of G")
+        model = build_reduced_bcs(rng.normal(size=n), sign * rng.uniform(0.1, 2.0))
     else:
         model = integrable_model(rng, n, kind)
     basis = enumerate_basis(n, m)
@@ -111,6 +116,24 @@ def test_action_agrees_with_matrix_elements_and_invariants(n, kind, seed, data):
         v2=model.v2[np.ix_(perm, perm)],
     )
     assert np.allclose(dense_spectrum(permuted, basis).energies, dense, atol=1e-9)
+
+
+@pytest.mark.parametrize("g", [-1.3, 0.0, 0.8])
+@pytest.mark.parametrize("n", [8, 9])
+def test_constant_hop_action_is_exact_at_every_filling(n, g):
+    # the collapsed form g (P^T P - min(M, N-M)) at every M, above half
+    # filling too: one v1 value per off-diagonal entry, and apply within
+    # the rounding bound of the property test above
+    model = build_reduced_bcs(np.random.default_rng(n).normal(size=n), g)
+    for m in range(n + 1):
+        basis = enumerate_basis(n, m)
+        action = HamiltonianAction(model, basis)
+        ref = elementwise_matrix(model, basis)
+        off = ~np.eye(basis.dim, dtype=bool)
+        assert np.array_equal(action.dense_matrix()[off], ref[off])
+        x = np.random.default_rng(m).normal(size=basis.dim)
+        bound = np.abs(ref) @ np.abs(x)
+        assert np.all(np.abs(action.apply(x) - ref @ x) <= 1e-12 * bound)
 
 
 def _davidson_cases():

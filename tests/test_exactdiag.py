@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pairsolve import (
     DimensionMismatch,
@@ -162,28 +163,51 @@ def test_action_matches_single_elements():
     [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (6, 0), (6, 6), (7, 3), (7, 4), (8, 4), (10, 8)],
 )
 def test_action_footprint_and_edge_sectors(n, m):
-    # the diagonal, the (dim, min(M, N-M)) slot table and one buffer over
+    # C holds min(M, N-M) unit entries per state, with int32 indices into
     # the smaller neighbouring sector: M - 1 pairs, or M + 1 above half
-    # filling; (10, 8) must take the raising side, C(10, 9) = 10 << C(10, 7)
-    model = random_model(np.random.default_rng(n * 11 + m), n)
+    # filling; (10, 8) must take the raising side, C(10, 9) = 10 << C(10, 7).
+    # A general hop adds the level axis and one (N, other) buffer for the
+    # product with v1; a constant one (reduced BCS, or any model of at
+    # most two levels) holds K = [[g]] and no buffer
+    rng = np.random.default_rng(n * 11 + m)
+    # build_reduced_bcs's model, which needs two levels to build
+    v1 = np.full((n, n), -0.7)
+    np.fill_diagonal(v1, 0.0)
+    bcs = PairingModel(eps=rng.normal(size=n), v1=v1, v2=np.zeros((n, n)))
     basis = enumerate_basis(n, m)
-    action = HamiltonianAction(model, basis)
-    arrays = [v for v in vars(action).values() if isinstance(v, np.ndarray)]
-    expected = [("f", (basis.dim,))]
     width = min(m, n - m)
-    if width:
-        other = min(math.comb(n, m - 1), math.comb(n, m + 1))
-        expected += [("f", (n, other)), ("i", (basis.dim, width))]
-    assert sorted((a.dtype.kind, a.shape) for a in arrays) == sorted(expected)
-    h_ref = dense_by_elements(model, basis)
-    off = ~np.eye(basis.dim, dtype=bool)
-    assert np.array_equal(action.dense_matrix()[off], h_ref[off])
-    x = np.random.default_rng(m).normal(size=basis.dim)
-    assert np.allclose(action.apply(x), h_ref @ x, rtol=0.0, atol=1e-12)
-    with pytest.raises(DimensionMismatch):
-        action.apply(np.ones(basis.dim + 1))
-    with pytest.raises(DimensionMismatch):
-        action.apply(np.ones((basis.dim, 1)))
+    other = math.comb(n, width - 1) if width else 0
+    f, i = np.dtype(float), np.dtype(np.int32)
+    for model in (random_model(rng, n), bcs):
+        action = HamiltonianAction(model, basis)
+        expected = [(f, (basis.dim,)), (i, (basis.dim, width)), (i, (basis.dim + 1,))]
+        levels = n if model is not bcs and n > 2 else 1
+        if levels > 1:
+            expected += [(f, (n, n)), (f, (n, other))]
+        else:
+            expected += [(f, (1, 1))]
+        arrays = [v for v in vars(action).values() if isinstance(v, np.ndarray)]
+        assert sorted((str(a.dtype), a.shape) for a in arrays) == sorted(
+            (str(d), shape) for d, shape in expected
+        )
+        # the CSR matrix shares the held index arrays rather than copying
+        # them (an empty one, at M = 0 or M = N, shares no memory)
+        (c,) = [v for v in vars(action).values() if scipy.sparse.issparse(v)]
+        assert c.shape == (basis.dim, levels * other)
+        assert np.array_equal(np.diff(c.indptr), np.full(basis.dim, width))
+        assert np.all(c.data == 1.0)
+        held = [a for a in arrays if a.dtype == i]
+        for a in (c.indices, c.indptr):
+            assert any(a.size == b.size and (np.shares_memory(a, b) or not a.size) for b in held)
+        h_ref = dense_by_elements(model, basis)
+        off = ~np.eye(basis.dim, dtype=bool)
+        assert np.array_equal(action.dense_matrix()[off], h_ref[off])
+        x = np.random.default_rng(m).normal(size=basis.dim)
+        assert np.allclose(action.apply(x), h_ref @ x, rtol=0.0, atol=1e-12)
+        with pytest.raises(DimensionMismatch):
+            action.apply(np.ones(basis.dim + 1))
+        with pytest.raises(DimensionMismatch):
+            action.apply(np.ones((basis.dim, 1)))
 
 
 def test_action_rejects_level_mismatch():
