@@ -36,21 +36,25 @@ def sector_dimension(n_levels: int, n_pairs: int) -> int:
 def enumerate_patterns(n_levels: int, n_pairs: int) -> np.ndarray:
     """All n_levels-bit patterns with n_pairs set bits, ascending.
 
-    Uses the constant-time next-higher-same-popcount step (Gosper), so the
-    whole sector is generated in O(dim) integer operations.
+    Built level by level in colex order: the c-pair patterns over levels
+    0..l are those over 0..l-1 without level l, then the (c - 1)-pair
+    ones with it, which are all larger.  Only pair counts that can still
+    reach n_pairs are kept, so each level costs one vectorized copy and
+    OR of arrays no larger than the sector.
     """
-    dim = sector_dimension(n_levels, n_pairs)
-    out = np.empty(dim, dtype=np.int64)
-    if n_pairs == 0:
-        out[0] = 0
-        return out
-    v = (1 << n_pairs) - 1
-    for k in range(dim):
-        out[k] = v
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
-    return out
+    sector_dimension(n_levels, n_pairs)
+    empty = np.empty(0, dtype=np.int64)
+    by_count = {0: np.zeros(1, dtype=np.int64)}
+    for level in range(n_levels):
+        low = max(0, n_pairs - (n_levels - level - 1))
+        grown = {}
+        for c in range(low, min(n_pairs, level + 1) + 1):
+            without, below = by_count.get(c, empty), by_count.get(c - 1, empty)
+            grown[c] = out = np.empty(len(without) + len(below), dtype=np.int64)
+            out[: len(without)] = without
+            np.bitwise_or(below, 1 << level, out=out[len(without) :])
+        by_count = grown
+    return by_count[n_pairs]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ _DENSE_FALLBACK_DIM = 64
 #: further, and a dense build of n^2 entries outgrows Davidson's ~4kn.
 _DENSE_FALLBACK_PAIRS = 8
 
-#: Davidson subspace size at which a k = 1 solve restarts from its Ritz vector.
+#: Davidson subspace size at which a k = 1 solve restarts from its Ritz
+#: vector and the previous step's.
 _DAVIDSON_CAP = 24
 
 #: Entries per Davidson subspace (or its image) at which the cap shrinks,
@@ -94,6 +95,18 @@ def matrix_element(model: PairingModel, s: int, t: int) -> float:
     return 0.0
 
 
+def _lowest_bits(words: np.ndarray, count: int, dtype) -> np.ndarray:
+    """(count, len(words)) positions of each word's count lowest set
+    bits, ascending, one lowest-set-bit step per row."""
+    rest = words.copy()
+    out = np.empty((count, len(words)), dtype=dtype)
+    for i in range(count):
+        lowest = rest & -rest
+        rest ^= lowest
+        out[i] = np.frexp(lowest)[1] - 1
+    return out
+
+
 class HamiltonianAction:
     """Matrix-free action of one model on one sector.
 
@@ -107,7 +120,10 @@ class HamiltonianAction:
     v1 = g (reduced BCS) collapses the level axis to ``g (P^T P - min(M,
     N-M))`` with P = sum_i b_i: C's columns are the d ranks alone, K =
     [[g]], and ``diagonal`` stays H's own.  M = 0 and M = N keep the
-    diagonal only.
+    diagonal only.  The slot table and the diagonal are built _CHUNK
+    states at a time from lowest-set-bit steps: the cleared levels give
+    the int32 colex ranks, the occupied ones the eps sum, and the v2
+    term is formed only when v2 is non-zero.
     """
 
     def __init__(self, model: PairingModel, basis: PairBasis):
@@ -130,25 +146,32 @@ class HamiltonianAction:
         self._buffer = None if collapsed else np.empty((n, other))
         cols = len(self._k) * other
         index = np.int32 if max(cols, dim * width) < 2**31 else np.int64
-        binom = np.array([[math.comb(p, c) for c in range(width + 1)] for p in range(n)])
-        k = np.arange(width)
-        bits = np.arange(n, dtype=np.int64)
+        pascal = np.array(
+            [[math.comb(p, c) for p in range(n)] for c in range(width + 1)], dtype=index
+        )
+        # C^T clears one of the levels p_0 < p_1 < ... (set levels, or
+        # empty ones above half filling)
         self.diagonal = np.empty(dim)
         self._slots = np.empty((dim, width), dtype=index)
         for lo in range(0, dim, _CHUNK):
-            occ = (basis.patterns[lo : lo + _CHUNK, None] >> bits) & 1
-            f = occ.astype(float)
-            self.diagonal[lo : lo + _CHUNK] = 2.0 * f @ model.eps + 4.0 * np.einsum(
-                "ai,ai->a", f @ model.v2, f
-            )
-            # C^T clears one of the levels p_0 < p_1 < ... (set levels, or
-            # empty ones above half filling); clearing p_k leaves the colex
-            # rank sum_{i<k} C(p_i, i + 1) + sum_{i>k} C(p_i, i)
-            pos = (np.flatnonzero(occ if m == width else 1 - occ) % n).reshape(len(occ), width)
-            kept, moved = binom[pos, k + 1], binom[pos, k]
-            rank = np.cumsum(kept, axis=1) - kept
-            rank += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
-            self._slots[lo : lo + _CHUNK] = rank if collapsed else pos * other + rank
+            patterns = basis.patterns[lo : lo + _CHUNK]
+            occupied = _lowest_bits(patterns, m, index)
+            pos = occupied if m == width else _lowest_bits(patterns ^ ((1 << n) - 1), width, index)
+            diagonal = 2.0 * model.eps[occupied].sum(axis=0)
+            if model.v2.any():
+                f = ((patterns[:, None] >> np.arange(n)) & 1).astype(float)
+                diagonal += 4.0 * np.einsum("ai,ai->a", f @ model.v2, f)
+            self.diagonal[lo : lo + _CHUNK] = diagonal
+            # clearing p_i leaves the colex rank
+            # sum_{l<i} C(p_l, l + 1) + sum_{l>i} C(p_l, l)
+            moved = [pascal[i][pos[i]] for i in range(width)]
+            head = np.zeros(len(patterns), dtype=index)
+            tail = sum(moved, head)
+            slots = self._slots[lo : lo + _CHUNK]
+            for i in range(width):
+                tail -= moved[i]
+                slots[:, i] = head + tail if collapsed else pos[i] * other + head + tail
+                head += pascal[i + 1][pos[i]]
         self._indptr = np.arange(dim + 1, dtype=index) * width
         self._matrix = scipy.sparse.csr_matrix(
             (np.ones(dim * width), self._slots.reshape(-1), self._indptr), shape=(dim, cols)
@@ -295,15 +318,16 @@ def _davidson_cap(n: int) -> int:
 
 
 def eigensolver_entries(n: int) -> int:
-    """Entries a k = 1 lowest_eigenpairs solve holds beyond
-    its operator: the dense matrix up to the fallback size, otherwise the
-    Davidson subspace and its image, their projected matrix, the
-    eigenvalues and the Ritz coefficients of that matrix, and the vectors
-    x, Hx, r and t."""
+    """Entries a k = 1 lowest_eigenpairs solve holds beyond its operator:
+    the dense matrix up to the fallback size, otherwise what _davidson
+    holds: the subspace interleaved with its image, their projected
+    matrix, the vectors r, t and the denominator (a restart forms its
+    new rows in r), and the Ritz values and coefficients of this step
+    and the last."""
     if n <= _DENSE_FALLBACK_DIM:
         return n * n
     cap = _davidson_cap(n)
-    return (2 * cap + 4) * n + cap**2 + 2 * cap
+    return (2 * cap + 3) * n + cap**2 + 3 * cap
 
 
 def _davidson(matvec, diagonal, start, tol, maxiter):
@@ -316,60 +340,79 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     pass only where the first leaves less than _DGKS of its norm), adds
     it and takes one matvec: first the rows of start, then the correction
     r / max(|diagonal - theta|, floor) of the lowest pair not yet
-    converged.  One (k, j) @ (j, n) product per array gives the Ritz
-    vectors and their images.  A full subspace, _davidson_cap(n) +
-    2(k - 1) vectors or n, restarts from its k Ritz vectors, whose images
-    it keeps.  A pair has converged at ||r|| <= tol * max(|theta|,
-    eps^(2/3)), or at the roundoff bound _DAVIDSON_ROUNDOFF * eps *
-    max ||H t||, if larger.
+    converged, written in place.  The subspace and its image sit
+    interleaved, row pairs (v, Hv), so one (k, 2j) @ (2j, n) product with
+    coefficients (-theta y, y) gives all k residuals; LAPACK's dsyevr
+    solves the projected problem for its k lowest pairs, and no Ritz
+    vector is formed before the return.  A full subspace,
+    _davidson_cap(n) + 2(k - 1) vectors or n, restarts from its k Ritz
+    vectors and the previous step's k (Stathopoulos and McCombs' "+k"),
+    orthonormalized by a QR of their coefficients.  A pair has converged
+    at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the roundoff bound
+    _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
     NoConvergence carries the k Ritz values and their worst residual.
     """
     k, n = start.shape
     cap = min(n, _davidson_cap(n) + 2 * (k - 1))
-    basis = np.empty((cap, n))
-    image = np.empty((cap, n))
+    keep = min(2 * k, cap - 1)
+    pairs = np.empty((cap, 2, n))
+    basis = pairs[:, 0]
     proj = np.empty((cap, cap))
+    last = np.zeros((cap, k))
+    r = np.empty((k, n))
+    work = np.empty(n)
+    t = start[0].copy()
     eps = np.finfo(float).eps
     scale, largest = eps ** (2.0 / 3.0), 0.0
-    t = start[0].copy()
     j = 0
     for step in range(1, maxiter + 1):
         before = np.linalg.norm(t)
-        t -= (basis[:j] @ t) @ basis[:j]
+        t -= np.matmul(basis[:j] @ t, basis[:j], out=work)
         after = np.linalg.norm(t)
         if after < before * _DGKS:
-            t -= (basis[:j] @ t) @ basis[:j]
+            t -= np.matmul(basis[:j] @ t, basis[:j], out=work)
             after = np.linalg.norm(t)
-        basis[j] = t / after
-        image[j] = matvec(basis[j])
-        largest = max(largest, float(np.linalg.norm(image[j])))
-        proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ image[j]
+        np.divide(t, after, out=basis[j])
+        pairs[j, 1] = matvec(basis[j])
+        largest = max(largest, float(np.linalg.norm(pairs[j, 1])))
+        proj[j, : j + 1] = proj[: j + 1, j] = basis[: j + 1] @ pairs[j, 1]
         j += 1
         if j < k:
-            t = start[j].copy()
+            t[:] = start[j]
             continue
-        theta, y = scipy.linalg.eigh(
-            proj[:j, :j], subset_by_index=(0, k - 1), check_finite=False
+        theta, y, _, _, info = scipy.linalg.lapack.dsyevr(
+            proj[:j, :j], range="I", lower=1, il=1, iu=k
         )
-        x, hx = y.T @ basis[:j], y.T @ image[:j]
-        r = hx - theta[:, None] * x
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+        theta = theta[:k]
+        coef = np.stack((y * -theta, y), axis=1).reshape(2 * j, k)
+        np.matmul(coef.T, pairs[:j].reshape(2 * j, n), out=r)
+        norms = np.sqrt(np.einsum("ij,ij->i", r, r))
+        worst = float(norms.max())
         floor = _DAVIDSON_ROUNDOFF * eps * largest
-        worst, lowest = 0.0, None
-        for i in range(k):
-            norm = float(np.linalg.norm(r[i]))
-            worst = max(worst, norm)
-            bound = max(tol * max(abs(theta[i]), scale), floor)
-            if lowest is None and norm > bound:
-                lowest = (norm, bound)
-                t = r[i] / np.maximum(np.abs(diagonal - theta[i]), _DAVIDSON_FLOOR)
-        if lowest is None:
-            return theta, x.T, worst, step
+        bound = np.maximum(tol * np.maximum(np.abs(theta), scale), floor)
+        (unconverged,) = np.nonzero(norms > bound)
+        if not unconverged.size:
+            return theta, (y.T @ basis[:j]).T, worst, step
+        i = unconverged[0]
+        np.abs(np.subtract(diagonal, theta[i], out=work), out=work)
+        np.divide(r[i], np.maximum(work, _DAVIDSON_FLOOR, out=work), out=t)
         if j == cap:
-            basis[:k], image[:k], proj[:k, :k] = x, hx, np.diag(theta)
-            j = k
+            q = np.linalg.qr(np.hstack((y, last[:j])))[0][:, :keep]
+            # the new rows overwrite the old ones, so they are formed a
+            # column block at a time in r, which is free until the next step
+            flat, width = pairs[:j].reshape(j, 2 * n), r.size // keep
+            block = r.reshape(-1)[: keep * width].reshape(keep, width)
+            for c in range(0, 2 * n, width):
+                part = flat[:, c : c + width]
+                flat[:keep, c : c + width] = np.matmul(q.T, part, out=block[:, : part.shape[1]])
+            proj[:keep, :keep] = q.T @ proj[:j, :j] @ q
+            y, j = q.T @ y, keep
+        last[:j], last[j] = y, 0.0
     raise NoConvergence(
         f"eigensolver did not converge within {maxiter} steps "
-        f"(residual {lowest[0]:.3e} against {lowest[1]:.3e})",
+        f"(residual {norms[i]:.3e} against {bound[i]:.3e})",
         energies=theta,
         residual=worst,
     )

@@ -44,6 +44,29 @@ def test_enumerate_patterns_edges():
     assert enumerate_patterns(1, 1).tolist() == [1]
 
 
+def gosper(n, m):
+    """Reference: every n-bit pattern with m set bits, ascending, by the
+    next-higher-same-popcount step."""
+    if m == 0:
+        return [0]
+    out, v = [], (1 << m) - 1
+    while v < 1 << n:
+        out.append(v)
+        c = v & -v
+        r = v + c
+        v = (((r ^ v) >> 2) // c) | r
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 13) for m in range(n + 1)] + [(20, 10), (30, 3)]
+)
+def test_enumerate_patterns_matches_gosper(n, m):
+    got = enumerate_patterns(n, m)
+    assert got.dtype == np.int64
+    assert got.tolist() == gosper(n, m)
+
+
 def test_index_of_is_inverse():
     basis = enumerate_basis(6, 3)
     for k, p in enumerate(basis.patterns):
