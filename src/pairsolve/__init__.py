@@ -11,14 +11,11 @@ from .dmrg import (
     DmrgResult,
     GrownBlock,
     history_csv,
-    init_blocks,
     memory_report,
     reduced_density,
     run_infinite,
     summary_dict,
-    superblock_ground,
     target_pairs,
-    truncate,
 )
 from .errors import (
     DegenerateEta,

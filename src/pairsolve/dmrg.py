@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -60,10 +59,6 @@ _RAISE, _NUMBER = 0, 1
 #: Singular values below this relative cutoff are dropped when a coupling
 #: is factored into modes.
 _SVD_CUT = 1e-13
-#: Coefficients whose part outside a block's modes exceeds this fraction of
-#: their norm are rejected.  The cutoff compounds over growth steps: true
-#: couplings of N = 40 hyperbolic models leave up to 3.5e-13 outside.
-_SPAN_TOL = 1e-10
 
 
 class Modes(NamedTuple):
@@ -121,21 +116,6 @@ class Block:
         for c in span[len(span) - self.n_bare :] @ y:  # bare levels, in order
             out = _kron_sum(out, np.multiply.outer(c, _SITES[kind]))
         return out
-
-    def _weighted(self, coeffs, kind) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=float)
-        span = self.modes[kind].span
-        y = span.T @ c
-        if np.linalg.norm(c - span @ y) > _SPAN_TOL * np.linalg.norm(c):
-            raise InvariantViolation("coefficients reach outside the block's coupling modes")
-        return self._mode_sum(kind, y[:, None])[0]
-
-    def weighted_raise(self, coeffs) -> np.ndarray:
-        """sum_i coeffs[i] b_i over ``levels``; coeffs must lie in the modes' span."""
-        return self._weighted(coeffs, _RAISE)
-
-    def weighted_number(self, coeffs) -> np.ndarray:
-        return self._weighted(coeffs, _NUMBER)
 
     def stored_entries(self) -> int:
         """Matrix entries held on the block basis: h and the modes' explicit
@@ -263,7 +243,8 @@ class GrownBlock(Block):
 
 @dataclass(frozen=True)
 class DmrgConfig:
-    """Run parameters: kept states m, target pair number, solver knobs.
+    """Run parameters: kept states m, target pair number, and the stopping
+    rule and start vector of the superblock solves.
 
     A superblock sector above 64 states is solved by Davidson's method,
     which stops at ``||H x - E x|| <= superblock_tol * |E|``;
@@ -278,7 +259,6 @@ class DmrgConfig:
     superblock_tol: float = 1e-10
     max_superblock_iters: Optional[int] = None
     seed: int = 0
-    level_order: str = "eps_ascending"
 
     def __post_init__(self):
         if self.m < 2:
@@ -290,11 +270,6 @@ class DmrgConfig:
         check_solver_args(self.superblock_tol, self.seed)
         if self.max_superblock_iters is not None and self.max_superblock_iters < 1:
             raise InvariantViolation("max_superblock_iters must be positive")
-        if self.level_order not in ("eps_ascending", "given"):
-            raise InvariantViolation(
-                f"level_order must be 'eps_ascending' or 'given', got "
-                f"{self.level_order!r}"
-            )
 
 
 def target_pairs(k: int, n_levels: int, total_pairs: int) -> int:
@@ -324,10 +299,7 @@ def _plan(model: PairingModel, config: DmrgConfig):
         raise OddN(f"the symmetric infinite algorithm needs even N, got {n}")
     if f > n:
         raise InfeasibleTarget(f"cannot place {f} pairs on {n} levels")
-    if config.level_order == "eps_ascending":
-        order = [int(x) for x in np.argsort(model.eps, kind="stable")]
-    else:
-        order = list(range(n))
+    order = [int(x) for x in np.argsort(model.eps, kind="stable")]
     holes, parts = order[:f][::-1], order[f:]
     # levels in the hole and particle blocks after k iterations
     ks = range(n // 2 + 1)
@@ -337,18 +309,6 @@ def _plan(model: PairingModel, config: DmrgConfig):
         (holes[h[k - 1] : h[k]], parts[p[k - 1] : p[k]], target_pairs(k, n, f))
         for k in ks[1:]
     ]
-
-
-def init_blocks(model: PairingModel, config: DmrgConfig):
-    """Blocks for the first iteration: the first plan step grown from the vacuum.
-
-    With pairs on both sides of the Fermi index this is one level per
-    block: the highest-eps hole level and the lowest-eps particle level,
-    each dim 2.  At the filling extremes one side starts as the vacuum and
-    the other with two levels.
-    """
-    first = _plan(model, config)[0][:2]
-    return tuple(GrownBlock(vacuum_block(), levels, model) for levels in first)
 
 
 class _Superblock:
@@ -524,17 +484,6 @@ def _solve_superblock(hole, particle, model, target, config, guess=None):
     return float(pairs.energies[0]), op, x, record
 
 
-def superblock_ground(hole, particle, model: PairingModel, target: int, config: DmrgConfig, guess=None):
-    """Ground state of hole (x) particle restricted to ``target`` pairs.
-
-    Returns (E0, psi) with psi a dense (hole.dim, particle.dim) array whose
-    support lies entirely in the target sector.  E0 is a variational upper
-    bound for the levels the two blocks represent.
-    """
-    e0, op, x, _ = _solve_superblock(hole, particle, model, target, config, guess)
-    return e0, op.embed(x)
-
-
 def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
     """Partial trace of |psi><psi| over the opposite block.
 
@@ -555,22 +504,6 @@ def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
     raise InvariantViolation(f"side must be 'hole' or 'particle', got {side!r}")
 
 
-def _density_states(block, rho: np.ndarray):
-    """Candidate kept states of a block from its density matrix: per pair
-    sector, ascending, (rows, eigenvalues descending, eigenvectors)."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (block.dim, block.dim):
-        raise DimensionMismatch(
-            f"density matrix shape {rho.shape} does not match block dim {block.dim}"
-        )
-    states = []
-    for s in np.unique(block.sectors):
-        idx = np.flatnonzero(block.sectors == s)
-        vals, vecs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
-        states.append((idx, vals[::-1], vecs[:, ::-1]))
-    return states
-
-
 def _truncate_with_basis(block, states, m: int):
     """Keep the m candidate states of largest weight and project h and the
     coupling modes onto them; also return the kept-state column matrix W
@@ -578,8 +511,8 @@ def _truncate_with_basis(block, states, m: int):
 
     ``states`` lists, per pair sector of the block in ascending order, the
     sector's rows of the block basis, its weights in descending order and
-    its states as columns on those rows (``_density_states``, or
-    ``_Superblock.schmidt``).
+    its states as columns on those rows, as ``_Superblock.schmidt`` gives
+    them.
     """
     d = block.dim
     rows, weights, vecs = zip(*states)
@@ -611,17 +544,6 @@ def _truncate_with_basis(block, states, m: int):
         modes.append(Modes(ops, span))
     new = Block(block.levels, secs[keep], w.T @ block.h @ w, modes)
     return new, weight, w
-
-
-def truncate(block, rho: np.ndarray, m: int):
-    """Project a block onto the m dominant eigenstates of rho.
-
-    Returns (new block, truncation weight).  Weight is 1 minus the kept
-    eigenvalue sum, clipped into [0, 1].  Kept states are sector-pure, so
-    sector labels survive truncation.
-    """
-    new, weight, _ = _truncate_with_basis(block, _density_states(block, rho), m)
-    return new, weight
 
 
 #: Seconds of an iteration's phases: block growth, superblock set-up (its

@@ -205,11 +205,6 @@ class HamiltonianAction:
         return h
 
 
-def apply(model: PairingModel, basis: PairBasis, x: np.ndarray) -> np.ndarray:
-    """One-shot H x; build a HamiltonianAction to amortize repeated use."""
-    return HamiltonianAction(model, basis).apply(x)
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """Eigenvalues of one sector, ascending, with a residual certificate.
@@ -496,7 +491,6 @@ __all__ = [
     "HamiltonianAction",
     "PairBasis",
     "SpectrumResult",
-    "apply",
     "dense_spectrum",
     "enumerate_basis",
     "iterative_ground",

@@ -14,6 +14,7 @@ import pytest
 from pairsolve import (
     DmrgConfig,
     FamilyKind,
+    GrownBlock,
     IntegrableSpec,
     PairingModel,
     build_integrable,
@@ -21,17 +22,14 @@ from pairsolve import (
     cot_kernel,
     dense_spectrum,
     enumerate_basis,
-    init_blocks,
     iterative_ground,
     memory_report,
-    reduced_density,
     run_infinite,
     sin_kernel,
-    superblock_ground,
     target_pairs,
-    truncate,
 )
 from pairsolve.cli import main
+from pairsolve.dmrg import _plan, _solve_superblock, _truncate_with_basis, vacuum_block
 
 TOY_DOC = {"type": "reduced_bcs", "eps": [1.0, 2.0, 3.0, 4.0], "G": 1.0}
 TOY_GROUND = 4.5103478446361525
@@ -229,9 +227,12 @@ def test_criterion_08_block_storage_within_budget(small_exact_runs, n16_runs):
 
 
 def test_criterion_09_structural_invariants_randomized():
-    # density matrices are symmetric PSD with unit trace and exact sector
-    # block structure; truncation weights sit in [0, 1]; kept dimensions
-    # respect m; energies are variational; runs are deterministic
+    # on the path run_infinite takes (plan, growth, superblock solve,
+    # Schmidt decomposition, truncation): Schmidt weights are nonnegative,
+    # sum to 1 on each side and are 0 in a sector without a partner;
+    # Schmidt vectors are orthonormal and sector pure; truncation weights
+    # sit in [0, 1]; kept dimensions respect m; energies are variational;
+    # runs are deterministic
     start = time.perf_counter()
     rng = np.random.default_rng(515)
     for trial in range(6):
@@ -241,18 +242,26 @@ def test_criterion_09_structural_invariants_randomized():
         m = int(rng.choice([3, 4, 6]))
         config = DmrgConfig(m=m, total_pairs=pairs)
 
-        hole, particle = init_blocks(model, config)
-        tgt = target_pairs(1, n, pairs)
-        _, psi = superblock_ground(hole, particle, model, tgt, config)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
-        for side, block in (("hole", hole), ("particle", particle)):
-            rho = reduced_density(psi, side)
-            assert np.allclose(rho, rho.T, atol=1e-13)
-            assert np.trace(rho) == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.eigvalsh(rho).min() >= -1e-12
-            cross = block.sectors[:, None] != block.sectors[None, :]
-            assert not rho[cross].any()
-            small, w = truncate(block, rho, m)
+        new_h, new_p, tgt = _plan(model, config)[0]
+        assert tgt == target_pairs(1, n, pairs)
+        hole, particle = (GrownBlock(vacuum_block(), new, model) for new in (new_h, new_p))
+        _, op, x, _ = _solve_superblock(hole, particle, model, tgt, config)
+        assert np.linalg.norm(op.embed(x)) == pytest.approx(1.0, abs=1e-10)
+        partners = (set(op.secs), {tgt - s for s in op.secs})
+        for block, states, paired in zip((hole, particle), op.schmidt(x), partners):
+            assert np.array_equal(
+                np.sort(np.concatenate([rows for rows, _, _ in states])), np.arange(block.dim)
+            )
+            weights = np.concatenate([lam for _, lam, _ in states])
+            assert weights.min() >= 0.0
+            assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+            for rows, lam, vecs in states:
+                sector = block.sectors[rows[0]]
+                assert np.all(block.sectors[rows] == sector)
+                assert np.allclose(vecs.T @ vecs, np.eye(len(rows)), rtol=0, atol=1e-13)
+                if sector not in paired:
+                    assert not lam.any()
+            small, w, _ = _truncate_with_basis(block, states, m)
             assert 0.0 <= w <= 1.0
             assert small.dim <= m
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,15 +24,12 @@ from pairsolve import (
     dense_spectrum,
     enumerate_basis,
     history_csv,
-    init_blocks,
     matrix_element,
     memory_report,
     reduced_density,
     run_infinite,
     summary_dict,
-    superblock_ground,
     target_pairs,
-    truncate,
 )
 from pairsolve import dmrg, exactdiag
 from pairsolve.dmrg import (
@@ -39,7 +37,6 @@ from pairsolve.dmrg import (
     Modes,
     _plan,
     _Superblock,
-    _density_states,
     _truncate_with_basis,
     vacuum_block,
 )
@@ -67,10 +64,71 @@ def exact_block(model, levels):
     return GrownBlock(vacuum_block(), levels, model)
 
 
+def identity_states(block):
+    """Every basis state of the block as a kept-state candidate, all of one
+    weight, per pair sector as ``_Superblock.schmidt`` lists them."""
+    return [
+        (rows, np.full(len(rows), 1.0 / block.dim), np.eye(len(rows)))
+        for rows in (np.flatnonzero(block.sectors == s) for s in np.unique(block.sectors))
+    ]
+
+
 def explicit_block(model, levels):
     """Untruncated block over ``levels`` storing every level's operators."""
-    d = 1 << len(levels)
-    return truncate(exact_block(model, levels), np.eye(d) / d, d)[0]
+    block = exact_block(model, levels)
+    return _truncate_with_basis(block, identity_states(block), block.dim)[0]
+
+
+def density_states(block, rho):
+    """Reference kept-state candidates from a density matrix: per pair
+    sector, ascending, the sector's rows, the eigenvalues of its block of
+    rho, descending, and the eigenvectors, as ``_Superblock.schmidt`` lists
+    its Schmidt weights and vectors."""
+    states = []
+    for s in np.unique(block.sectors):
+        idx = np.flatnonzero(block.sectors == s)
+        vals, vecs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
+        states.append((idx, vals[::-1], vecs[:, ::-1]))
+    return states
+
+
+#: Coefficients whose part outside a block's modes exceeds this fraction of
+#: their norm are rejected.  The cutoff compounds over growth steps: true
+#: couplings of N = 40 hyperbolic models leave up to 3.5e-13 outside.
+_SPAN_TOL = 1e-10
+
+
+def weighted(block, coeffs, kind):
+    """sum_i coeffs[i] o_i over the block's levels, o the pair creation
+    (kind 0) or number (kind 1) operator, formed from the block's modes;
+    ValueError if the coefficients reach outside the modes' span."""
+    c = np.asarray(coeffs, dtype=float)
+    span = block.modes[kind].span
+    y = span.T @ c
+    if np.linalg.norm(c - span @ y) > _SPAN_TOL * np.linalg.norm(c):
+        raise ValueError("coefficients reach outside the block's coupling modes")
+    return block._mode_sum(kind, y[:, None])[0]
+
+
+def ground(hole, particle, model, target, config):
+    """E0 and the dense (hole.dim, particle.dim) superblock ground state."""
+    e0, op, x, _ = dmrg._solve_superblock(hole, particle, model, target, config)
+    return e0, op.embed(x)
+
+
+def first_blocks(model, config):
+    """The blocks of the first iteration: its plan step grown from the vacuum."""
+    return tuple(GrownBlock(vacuum_block(), levels, model) for levels in _plan(model, config)[0][:2])
+
+
+def toy_hole_states():
+    """The toy's exact hole half [1, 0] and its Schmidt states in the
+    ground state of the half-filled superblock."""
+    model = toy_model()
+    hole = exact_block(model, [1, 0])
+    particle = exact_block(model, [2, 3])
+    _, op, x, _ = dmrg._solve_superblock(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
+    return hole, op.schmidt(x)[0]
 
 
 def sector_pure_density(block, rng):
@@ -96,7 +154,7 @@ def random_block(model, levels, n_bare, rng):
     split = len(levels) - n_bare
     core = exact_block(model, levels[:split])
     rho, rank = sector_pure_density(core, rng)
-    core, _, w = _truncate_with_basis(core, _density_states(core, rho), rank)
+    core, _, w = _truncate_with_basis(core, density_states(core, rho), rank)
     return GrownBlock(core, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
 
 
@@ -106,7 +164,7 @@ def truncated_block(model, levels, m, rng):
     ``random_block``."""
     core = exact_block(model, levels[:-1])
     rho, _ = sector_pure_density(core, rng)
-    core, _, w = _truncate_with_basis(core, _density_states(core, rho), m)
+    core, _, w = _truncate_with_basis(core, density_states(core, rho), m)
     return GrownBlock(core, levels[-1:], model), np.kron(w, np.eye(2))
 
 
@@ -201,9 +259,9 @@ def test_single_level_block():
     assert np.array_equal(b.h, np.diag([0.0, 6.0]))
     # constant pairing, no monopole term: one raise mode, no number mode
     assert mode_counts(b) == (1, 0)
-    assert np.array_equal(b.weighted_raise([1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(InvariantViolation):
-        b.weighted_number([1.0])
+    assert np.array_equal(weighted(b, [1.0], 0), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        weighted(b, [1.0], 1)
     assert b.n_bare == 1
     # h and the 1 x 1 vacuum part of the raise mode; the bare level stores nothing
     assert b.stored_entries() == 4 + 1
@@ -265,15 +323,15 @@ def test_grown_block_operators_match_materialized():
     for outside in (3, 5, 6):
         coeffs = model.v1[levels, outside]
         want = sum(c * pattern_ops(levels, l)[0] for c, l in zip(coeffs, levels))
-        assert np.allclose(g.weighted_raise(coeffs), want, rtol=0, atol=1e-13)
+        assert np.allclose(weighted(g, coeffs, 0), want, rtol=0, atol=1e-13)
         coeffs = 2.0 * model.v2[levels, outside]
         want = sum(c * pattern_ops(levels, l)[1] for c, l in zip(coeffs, levels))
-        assert np.allclose(g.weighted_number(coeffs), want, rtol=0, atol=1e-13)
-    for kind, weighted in enumerate((g.weighted_raise, g.weighted_number)):
+        assert np.allclose(weighted(g, coeffs, 1), want, rtol=0, atol=1e-13)
+    for kind in (0, 1):
         span = g.modes[kind].span
         beyond = np.linalg.svd(span, full_matrices=True)[0][:, -1]
-        with pytest.raises(InvariantViolation):
-            weighted(beyond)
+        with pytest.raises(ValueError):
+            weighted(g, beyond, kind)
 
 
 def test_grown_block_stores_less_than_materialized():
@@ -336,12 +394,10 @@ def test_config_validation():
         DmrgConfig(m=4, total_pairs=2, seed=-1)
     with pytest.raises(InvariantViolation):
         DmrgConfig(m=4, total_pairs=2, max_superblock_iters=0)
-    with pytest.raises(InvariantViolation):
-        DmrgConfig(m=4, total_pairs=2, level_order="random")
 
 
 def test_init_blocks_half_filling():
-    hole, particle = init_blocks(toy_model(), DmrgConfig(m=4, total_pairs=2))
+    hole, particle = first_blocks(toy_model(), DmrgConfig(m=4, total_pairs=2))
     assert hole.levels == (1,)  # highest level below the Fermi index
     assert particle.levels == (2,)
     assert hole.dim == particle.dim == 2
@@ -353,17 +409,17 @@ def test_init_blocks_respects_eps_order():
         v1=toy_model().v1,
         v2=np.zeros((4, 4)),
     )
-    hole, particle = init_blocks(model, DmrgConfig(m=4, total_pairs=2))
+    hole, particle = first_blocks(model, DmrgConfig(m=4, total_pairs=2))
     assert hole.levels == (2,)  # second lowest eps
     assert particle.levels == (0,)
 
 
 def test_init_blocks_extremes():
     model = toy_model()
-    hole, particle = init_blocks(model, DmrgConfig(m=4, total_pairs=0))
+    hole, particle = first_blocks(model, DmrgConfig(m=4, total_pairs=0))
     assert hole.dim == 1 and hole.levels == ()
     assert particle.levels == (0, 1)
-    hole, particle = init_blocks(model, DmrgConfig(m=4, total_pairs=4))
+    hole, particle = first_blocks(model, DmrgConfig(m=4, total_pairs=4))
     assert hole.levels == (3, 2)
     assert particle.dim == 1
 
@@ -371,9 +427,9 @@ def test_init_blocks_extremes():
 def test_init_blocks_rejects_bad_sizes():
     model = build_reduced_bcs([1.0, 2.0, 3.0], 0.5)
     with pytest.raises(OddN):
-        init_blocks(model, DmrgConfig(m=4, total_pairs=1))
+        first_blocks(model, DmrgConfig(m=4, total_pairs=1))
     with pytest.raises(InfeasibleTarget):
-        init_blocks(toy_model(), DmrgConfig(m=4, total_pairs=5))
+        first_blocks(toy_model(), DmrgConfig(m=4, total_pairs=5))
 
 
 def test_plan_invariants():
@@ -406,7 +462,7 @@ def test_superblock_two_level_closed_form():
     )
     hole = exact_block(model, [0])
     particle = exact_block(model, [1])
-    e0, psi = superblock_ground(hole, particle, model, 1, DmrgConfig(m=2, total_pairs=1))
+    e0, psi = ground(hole, particle, model, 1, DmrgConfig(m=2, total_pairs=1))
     assert e0 == pytest.approx(-math.sqrt(5.0), abs=1e-12)
     assert psi.shape == (2, 2)
     # support confined to the one-pair sector
@@ -420,7 +476,7 @@ def test_superblock_empty_sector():
     hole = exact_block(model, [1])
     particle = exact_block(model, [2])
     with pytest.raises(EmptySector):
-        superblock_ground(hole, particle, model, 3, DmrgConfig(m=2, total_pairs=2))
+        dmrg._solve_superblock(hole, particle, model, 3, DmrgConfig(m=2, total_pairs=2))
 
 
 def test_superblock_matches_dense_sector():
@@ -428,10 +484,10 @@ def test_superblock_matches_dense_sector():
     model = toy_model()
     hole = exact_block(model, [1, 0])
     particle = exact_block(model, [2, 3])
-    e0, psi = superblock_ground(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
+    e0, op, x, _ = dmrg._solve_superblock(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
     assert e0 == pytest.approx(TOY_GROUND, abs=1e-10)
-    rho = reduced_density(psi, "hole")
-    lam = np.sort(np.linalg.eigvalsh(rho))[::-1]
+    # the hole side's Schmidt weights are its density matrix's eigenvalues
+    lam = np.sort(np.concatenate([w for _, w, _ in op.schmidt(x)[0]]))[::-1]
     assert np.allclose(lam, TOY_RHO_EIGS, atol=1e-9)
 
 
@@ -441,7 +497,7 @@ def test_superblock_reports_non_convergence():
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
     config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15, max_superblock_iters=1)
     with pytest.raises(NoConvergence):
-        superblock_ground(hole, particle, model, 6, config)
+        dmrg._solve_superblock(hole, particle, model, 6, config)
 
 
 def test_solve_record_reports_matvecs_residual_and_overlap():
@@ -473,7 +529,7 @@ def test_non_convergence_carries_best_estimate_and_iteration():
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
     config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15, max_superblock_iters=1)
     with pytest.raises(NoConvergence) as exc:
-        superblock_ground(hole, particle, model, 6, config)
+        dmrg._solve_superblock(hole, particle, model, 6, config)
     op = _Superblock(hole, particle, model, 6)
     noise = exactdiag._DAVIDSON_START_NOISE
     v0 = noise * np.random.default_rng(config.seed).standard_normal(op.sector_dim)
@@ -552,7 +608,7 @@ def _check_blocked_superblock(model, n, rng, data):
         assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
         sector = h[np.ix_(mask, mask)]
         exact = np.linalg.eigvalsh(sector)[0]
-        e0, psi = superblock_ground(hole, particle, model, target, config)
+        e0, psi = ground(hole, particle, model, target, config)
         assert e0 == pytest.approx(exact, rel=1e-10, abs=1e-10)
         # the iterative stopping rule, on the operator the solver saw (the
         # matvec check above ties it to the reference); a dense solve has
@@ -573,7 +629,7 @@ def test_truncation_projects_level_operators(n_explicit, n_bare):
     block, basis = random_block(model, levels, n_bare, rng)
     assert block.n_bare == n_bare
     rho, rank = sector_pure_density(block, rng)
-    new, _, w = _truncate_with_basis(block, _density_states(block, rho), rank)
+    new, _, w = _truncate_with_basis(block, density_states(block, rho), rank)
     assert new.levels == block.levels and new.n_bare == 0
     assert mode_counts(new) == mode_counts(block)
     for kind, ops in enumerate(level_ops(levels, basis @ w)):
@@ -605,21 +661,19 @@ def test_modes_reproduce_outside_couplings(n, kind, seed, data):
     block, basis = random_block(model, levels[:split], n_bare, rng)
     ops = level_ops(block.levels, basis)
     outside = levels[split:]
-    for mode, weighted, v in (
-        (0, block.weighted_raise, model.v1), (1, block.weighted_number, 2.0 * model.v2)
-    ):
+    for mode, v in ((0, model.v1), (1, 2.0 * model.v2)):
         r = mode_counts(block)[mode]
         assert r <= min(split, len(outside))
         for o in outside:
             coeffs = v[block.levels, o]
             want = np.tensordot(coeffs, ops[mode], 1)
-            assert np.allclose(weighted(coeffs), want, rtol=0, atol=1e-12)
+            assert np.allclose(weighted(block, coeffs, mode), want, rtol=0, atol=1e-12)
         if r < split:
             span = block.modes[mode].span
             beyond = rng.normal(size=split)
             beyond -= span @ (span.T @ beyond)
-            with pytest.raises(InvariantViolation):
-                weighted(beyond)
+            with pytest.raises(ValueError):
+                weighted(block, beyond, mode)
 
 
 def record_truncations(monkeypatch):
@@ -627,8 +681,8 @@ def record_truncations(monkeypatch):
     seen = []
     real = dmrg._truncate_with_basis
 
-    def spy(block, rho, m):
-        out = real(block, rho, m)
+    def spy(block, states, m):
+        out = real(block, states, m)
         seen.append((block, out[0]))
         return out
 
@@ -753,7 +807,7 @@ def test_schmidt_states_match_density_matrix_eigenstates(n, seed, data):
     psi = op.embed(x)
     partners = (set(op.secs), {target - s for s in op.secs})
     for block, side, states, paired in zip(blocks, ("hole", "particle"), op.schmidt(x), partners):
-        eigen = _density_states(block, reduced_density(psi, side))
+        eigen = density_states(block, reduced_density(psi, side))
         assert len(states) == len(eigen) == len(np.unique(block.sectors))
         for (rows, weights, vecs), (rows_rho, lams, _) in zip(states, eigen):
             assert np.array_equal(rows, rows_rho)
@@ -820,7 +874,7 @@ def test_density_matrix_is_sector_block_diagonal():
     model = toy_model()
     hole = exact_block(model, [1, 0])
     particle = exact_block(model, [2, 3])
-    _, psi = superblock_ground(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
+    _, psi = ground(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
     rho = reduced_density(psi, "hole")
     assert np.allclose(rho, rho.T, atol=1e-14)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
@@ -830,23 +884,15 @@ def test_density_matrix_is_sector_block_diagonal():
 
 
 def test_truncate_keep_all_is_lossless():
-    model = toy_model()
-    hole = exact_block(model, [1, 0])
-    particle = exact_block(model, [2, 3])
-    _, psi = superblock_ground(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
-    rho = reduced_density(psi, "hole")
-    new, weight = truncate(hole, rho, 4)
+    hole, states = toy_hole_states()
+    new, weight, _ = _truncate_with_basis(hole, states, 4)
     assert new.dim == 4
     assert weight <= 1e-13
 
 
 def test_truncate_weight_matches_dropped_eigenvalues():
-    model = toy_model()
-    hole = exact_block(model, [1, 0])
-    particle = exact_block(model, [2, 3])
-    _, psi = superblock_ground(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
-    rho = reduced_density(psi, "hole")
-    new, weight = truncate(hole, rho, 2)
+    hole, states = toy_hole_states()
+    new, weight, _ = _truncate_with_basis(hole, states, 2)
     assert new.dim == 2
     assert weight == pytest.approx(sum(TOY_RHO_EIGS[2:]), abs=1e-9)
     assert 0.0 <= weight <= 1.0
@@ -860,30 +906,47 @@ def test_truncation_ties_go_to_the_lower_sector():
     # first, in their order within the sector
     block = exact_block(toy_model(), [0, 1])
     assert block.sectors.tolist() == [0, 1, 1, 2]
-    new, weight = truncate(block, np.eye(4) / 4, 3)
+    states = identity_states(block)
+    rows, weights, _ = states[1]
+    states[1] = (rows, weights, np.array([[0.6, -0.8], [0.8, 0.6]]))
+    new, weight, _ = _truncate_with_basis(block, states, 3)
     assert new.sectors.tolist() == [0, 1, 1]
     assert weight == pytest.approx(0.25, abs=1e-15)
-    states = _density_states(block, np.eye(4) / 4)
     w = _truncate_with_basis(block, states, 2)[2]
-    rows, _, vecs = states[1]
-    assert np.array_equal(w[rows, 1], vecs[:, 0])
+    assert np.array_equal(w[rows, 1], states[1][2][:, 0])
 
 
 def test_truncate_rank_one_density():
+    # a product superblock state has one Schmidt state per side, at weight 1
     model = toy_model()
-    block = exact_block(model, [0, 1])
-    vec = np.zeros(4)
-    vec[2] = 1.0
-    new, weight = truncate(block, np.outer(vec, vec), 1)
-    assert new.dim == 1
-    assert weight == pytest.approx(0.0, abs=1e-12)
+    hole, particle = exact_block(model, [0, 1]), exact_block(model, [2, 3])
+    op = _Superblock(hole, particle, model, 2)
+    psi = np.zeros((4, 4))
+    psi[2, 1] = 1.0  # one pair on each side
+    for block, states, vec in zip((hole, particle), op.schmidt(op.restrict(psi)), np.eye(4)[[2, 1]]):
+        new, weight, w = _truncate_with_basis(block, states, 1)
+        assert new.dim == 1
+        assert weight == pytest.approx(0.0, abs=1e-12)
+        assert abs(w[:, 0] @ vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncate_shape_check():
-    model = toy_model()
-    block = exact_block(model, [0, 1])
-    with pytest.raises(DimensionMismatch):
-        truncate(block, np.eye(3) / 3.0, 2)
+    # the Schmidt states cover each block's basis sector by sector, and
+    # truncation returns the kept-state matrix and the operators on it
+    model = random_model(np.random.default_rng(6), 6)
+    hole, particle = exact_block(model, [2, 1, 0]), exact_block(model, [3, 4, 5])
+    _, op, x, _ = dmrg._solve_superblock(hole, particle, model, 3, DmrgConfig(m=5, total_pairs=3))
+    for block, states in zip((hole, particle), op.schmidt(x)):
+        rows = [r for r, _, _ in states]
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(block.dim))
+        assert [block.sectors[r[0]] for r in rows] == np.unique(block.sectors).tolist()
+        for r, weights, vecs in states:
+            assert weights.shape == (len(r),) and vecs.shape == (len(r), len(r))
+        new, _, w = _truncate_with_basis(block, states, 5)
+        assert w.shape == (block.dim, 5) and new.h.shape == (5, 5) and new.dim == 5
+        for modes, kept in zip(block.modes, new.modes):
+            assert kept.ops.shape == (len(modes.ops), 5, 5)
+            assert np.array_equal(kept.span, modes.span)
 
 
 def test_run_infinite_untruncated_equals_dense():
@@ -965,13 +1028,6 @@ def test_run_infinite_is_deterministic():
     b = run_infinite(model, DmrgConfig(m=6, total_pairs=4))
     assert [r.e0 for r in a.iterations] == [r.e0 for r in b.iterations]
     assert a.memory_peak_entries == b.memory_peak_entries
-
-
-def test_run_infinite_level_order_given():
-    model = toy_model()  # eps already ascending
-    a = run_infinite(model, DmrgConfig(m=4, total_pairs=2))
-    b = run_infinite(model, DmrgConfig(m=4, total_pairs=2, level_order="given"))
-    assert a.final_energy == pytest.approx(b.final_energy, abs=1e-12)
 
 
 def test_memory_report_within_bound():
