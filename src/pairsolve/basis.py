@@ -1,8 +1,7 @@
 """Seniority-zero pair basis over N doubly degenerate levels.
 
 Each basis state is a bit pattern: bit i set means level i holds a pair.
-States with a fixed pair count are enumerated in ascending integer order,
-so the ordinal of a pattern is found by binary search.
+States with a fixed pair count are enumerated in ascending integer order.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, PatternMismatch, TooLarge
+from .errors import InvariantViolation, TooLarge
 
 #: Largest basis allowed without an explicit budget override.
 DEFAULT_MAX_DIM = 5_000_000
@@ -61,8 +60,8 @@ def enumerate_patterns(n_levels: int, n_pairs: int) -> np.ndarray:
 class PairBasis:
     """Ordered basis of one (n_levels, n_pairs) sector.
 
-    ``patterns`` is ascending, so ``index_of`` is a binary search and the
-    ordinal of a state never depends on how the basis was produced.
+    ``patterns`` is ascending, so the ordinal of a state never depends on
+    how the basis was produced.
     """
 
     n_levels: int
@@ -72,30 +71,6 @@ class PairBasis:
     @property
     def dim(self) -> int:
         return len(self.patterns)
-
-    @property
-    def states(self) -> np.ndarray:
-        """Alias for ``patterns``."""
-        return self.patterns
-
-    def index_of(self, pattern: int) -> int:
-        """Ordinal of ``pattern`` in this basis.
-
-        Raises PatternMismatch if the pattern has the wrong pair count or
-        uses levels outside the basis.
-        """
-        k = int(np.searchsorted(self.patterns, pattern))
-        if k == self.dim or self.patterns[k] != pattern:
-            raise PatternMismatch(
-                f"pattern {pattern:#x} is not a {self.n_pairs}-pair state "
-                f"over {self.n_levels} levels"
-            )
-        return k
-
-    def occupancy(self) -> np.ndarray:
-        """(dim, n_levels) 0/1 matrix: column i is occupation of level i."""
-        bits = np.arange(self.n_levels, dtype=np.int64)
-        return ((self.patterns[:, None] >> bits[None, :]) & 1).astype(np.int8)
 
 
 def enumerate_basis(n_levels: int, n_pairs: int, max_dim: int = DEFAULT_MAX_DIM) -> PairBasis:

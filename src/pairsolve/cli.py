@@ -25,13 +25,14 @@ import numpy as np
 from .basis import enumerate_basis
 from .dmrg import (
     DmrgConfig,
+    csv_text,
     history_csv,
     memory_report,
     run_infinite,
     summary_dict,
     without_timings,
 )
-from .errors import NoConvergence, PairsolveError, SchemaError, TooLarge
+from .errors import NoConvergence, PairsolveError, SchemaError
 from .exactdiag import DENSE_THRESHOLD, check_solver_args, dense_spectrum, iterative_ground
 from .model import (
     FamilyKind,
@@ -82,10 +83,6 @@ def _load_model_file(path: str) -> PairingModel:
 
 def _csv_floats(text: str):
     return [float(x) for x in text.split(",")]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _rel_error(diff: float, ref: float) -> float:
@@ -140,14 +137,13 @@ def cmd_build(args) -> int:
 # --- ed --------------------------------------------------------------------
 
 
-def _exact_diag(model, basis, args, method="auto", k=None):
+def _exact_diag(model, basis, args, k=None):
     """Dense spectrum (its k lowest energies, or all) up to the dense
-    threshold or with method "dense"; else the k lowest states (default 1)
-    by the iterative solver."""
+    threshold, else the k lowest states (default 1) by the iterative solver."""
     if k is not None and not 1 <= k <= basis.dim:
         raise SchemaError(f"--k must be in 1..{basis.dim}, got {k}")
     check_solver_args(args.tol, args.seed)
-    if method == "dense" or (method == "auto" and basis.dim <= args.dense_threshold):
+    if basis.dim <= args.dense_threshold:
         result = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
         return dataclasses.replace(result, energies=result.energies[:k])
     return iterative_ground(model, basis, k=k or 1, tol=args.tol, seed=args.seed)
@@ -156,16 +152,8 @@ def _exact_diag(model, basis, args, method="auto", k=None):
 def cmd_ed(args) -> int:
     model = _load_model_file(args.model)
     start = time.perf_counter()
-    try:
-        basis = enumerate_basis(model.n_levels, args.pairs)
-        result = _exact_diag(model, basis, args, args.method, args.k)
-    except TooLarge:
-        print(
-            "hint: this sector is too large for the dense path; "
-            "the iterative solver handles larger bases",
-            file=sys.stderr,
-        )
-        raise
+    basis = enumerate_basis(model.n_levels, args.pairs)
+    result = _exact_diag(model, basis, args, args.k)
     elapsed = time.perf_counter() - start
     print(f"sector dimension: {basis.dim}")
     print(f"method: {result.method}")
@@ -241,12 +229,8 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         _write_json(args.out, report, args.no_timestamp)
     else:
-        header = "m,e_ed,e_dmrg,abs_error,rel_error,sig_figs"
-        row = (
-            f"{args.m},{_fmt(e_ed)},{_fmt(e_dm)},{_fmt(abs_err)},"
-            f"{_fmt(rel_err)},{sig_figs}"
-        )
-        Path(args.out).write_text(header + "\n" + row + "\n")
+        columns = ("m", "e_ed", "e_dmrg", "abs_error", "rel_error", "sig_figs")
+        Path(args.out).write_text(csv_text([{c: report[c] for c in columns}]))
     _write_manifest(args, args.out, args.format)
     print(f"e_ed: {e_ed!r}")
     print(f"e_dmrg: {e_dm!r}")
@@ -294,18 +278,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _write_json(args.out, {"rows": rows}, args.no_timestamp)
     else:
-        lines = [
-            "m,E0,error_vs_best,trunc_weight,wall_seconds,"
-            "peak_memory_entries,self_convergence,per_level_peak_entries,within_bound"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['m']},{_fmt(r['E0'])},{_fmt(r['error_vs_best'])},"
-                f"{_fmt(r['trunc_weight'])},{_fmt(r['wall_seconds'])},"
-                f"{r['peak_memory_entries']},{_fmt(r['self_convergence'])},"
-                f"{r['per_level_peak_entries']},{str(r['within_bound']).lower()}"
-            )
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(csv_text(rows))
     _write_manifest(args, args.out, args.format)
     print(f"swept m = {ms}")
     print(f"wrote {args.out}")
@@ -353,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(e)
     e.add_argument("--k", type=int, help="number of lowest states (default 1)")
     e.add_argument("--dense-threshold", type=int, default=DENSE_THRESHOLD)
-    e.add_argument(
-        "--method", choices=["auto", "dense", "iterative"], default="auto"
-    )
     e.set_defaults(func=cmd_ed)
 
     d = sub.add_parser("dmrg", help="infinite-algorithm DMRG run")

@@ -35,7 +35,7 @@ accounted separately.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -49,7 +49,7 @@ from .errors import (
     NotNormalized,
     OddN,
 )
-from .exactdiag import check_solver_args, eigensolver_entries, lowest_eigenpairs
+from .exactdiag import check_integers, check_solver_args, eigensolver_entries, lowest_eigenpairs
 from .model import PairingModel
 
 #: One level's pair creation and number operator, indexed by mode kind.
@@ -261,6 +261,7 @@ class DmrgConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(m=self.m, total_pairs=self.total_pairs)
         if self.m < 2:
             raise InvariantViolation(f"m must be at least 2, got {self.m}")
         if self.total_pairs < 0:
@@ -268,6 +269,7 @@ class DmrgConfig:
                 f"total_pairs must be nonnegative, got {self.total_pairs}"
             )
         check_solver_args(self.superblock_tol, self.seed)
+        check_integers(max_superblock_iters=self.max_superblock_iters)
         if self.max_superblock_iters is not None and self.max_superblock_iters < 1:
             raise InvariantViolation("max_superblock_iters must be positive")
 
@@ -719,22 +721,22 @@ def _embed_guess(carried, model, level_h, level_p, delta):
     return _kron(carried, chi)
 
 
-def history_csv(result: DmrgResult) -> str:
-    """Per-iteration convergence table, 17-significant-digit floats."""
-    lines = [
-        "iteration,levels_in_superblock,target_pairs,E0,"
-        "trunc_weight_hole,trunc_weight_particle,dim_hole,dim_particle,"
-        "matvecs,residual,warm_start_overlap," + ",".join(PHASES)
-    ]
-    for r in result.iterations:
-        lines.append(
-            f"{r.iteration},{r.levels_in_superblock},{r.target_pairs},"
-            f"{r.e0:.17g},{r.trunc_weight_hole:.17g},"
-            f"{r.trunc_weight_particle:.17g},{r.dim_hole},{r.dim_particle},"
-            f"{r.matvecs},{r.residual:.17g},{r.warm_start_overlap:.17g},"
-            + ",".join(f"{getattr(r, name):.17g}" for name in PHASES)
-        )
+def csv_text(rows) -> str:
+    """Comma-separated table of ``rows``, dicts keyed alike, headed by the
+    first row's keys: floats to 17 significant digits, other values by
+    ``str`` in lower case (booleans as true and false)."""
+    lines = [",".join(rows[0])]
+    for row in rows:
+        fields = (f"{v:.17g}" if isinstance(v, float) else str(v).lower() for v in row.values())
+        lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def history_csv(result: DmrgResult) -> str:
+    """Per-iteration convergence table: each ``IterationRecord``, with
+    ``e0`` headed ``E0``."""
+    rows = [asdict(r) for r in result.iterations]
+    return csv_text([{"E0" if k == "e0" else k: v for k, v in row.items()} for row in rows])
 
 
 def without_timings(result: DmrgResult) -> DmrgResult:

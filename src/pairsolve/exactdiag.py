@@ -13,6 +13,7 @@ vectors per extra state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -242,9 +243,20 @@ def _residual(matvec, energies, vectors) -> float:
     return worst
 
 
+def check_integers(**values):
+    """Reject each value that is neither None nor an integer (numpy
+    integers pass) with InvariantViolation."""
+    for name, value in values.items():
+        try:
+            operator.index(0 if value is None else value)
+        except TypeError:
+            raise InvariantViolation(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_solver_args(tol: float, seed: int):
-    """Reject a tolerance that is not finite and positive, or a negative
-    seed, with InvariantViolation."""
+    """Reject a tolerance that is not finite and positive, or a seed that
+    is not a nonnegative integer, with InvariantViolation."""
+    check_integers(seed=seed)
     if not 0 < tol < np.inf:
         raise InvariantViolation(f"tol must be finite and positive, got {tol}")
     if seed < 0:
@@ -271,9 +283,10 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     _davidson runs on the operator's ``diagonal`` from the k rows of
     ``v0`` (for k = 1, a vector), or from the k lowest-diagonal unit
     vectors plus a perturbation drawn from ``seed``; ``maxiter`` caps its
-    steps, one matvec each.  A ``maxiter`` below k, or no ``diagonal``,
-    raises InvariantViolation.
+    steps, one matvec each.  A k or ``maxiter`` that is not an integer, a
+    ``maxiter`` below k, or no ``diagonal`` raises InvariantViolation.
     """
+    check_integers(k=k, maxiter=maxiter)
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
     check_solver_args(tol, seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairsolve import InvariantViolation, PatternMismatch, TooLarge, enumerate_basis, sector_dimension
+from pairsolve import InvariantViolation, TooLarge, enumerate_basis, sector_dimension
 from pairsolve.basis import DEFAULT_MAX_DIM, enumerate_patterns
 
 
@@ -67,34 +67,9 @@ def test_enumerate_patterns_matches_gosper(n, m):
     assert got.tolist() == gosper(n, m)
 
 
-def test_index_of_is_inverse():
-    basis = enumerate_basis(6, 3)
-    for k, p in enumerate(basis.patterns):
-        assert basis.index_of(int(p)) == k
-
-
-def test_index_of_rejects_foreign_patterns():
-    basis = enumerate_basis(6, 2)
-    with pytest.raises(PatternMismatch):
-        basis.index_of(0b111)  # three pairs
-    with pytest.raises(PatternMismatch):
-        basis.index_of(1 << 6 | 1)  # level out of range
-
-
-def test_occupancy():
-    basis = enumerate_basis(5, 2)
-    occ = basis.occupancy()
-    assert occ.shape == (basis.dim, 5)
-    assert (occ.sum(axis=1) == 2).all()
-    # first pattern is 0b00011
-    assert occ[0].tolist() == [1, 1, 0, 0, 0]
-    assert set(np.unique(occ)) <= {0, 1}
-
-
 def test_basis_dim_and_alias():
     basis = enumerate_basis(7, 3)
     assert basis.dim == 35
-    assert basis.states is basis.patterns
 
 
 def test_enumerate_basis_too_large():

@@ -184,7 +184,7 @@ def test_ed_iterative_method(eight_path, tmp_path, capsys):
             "ed",
             "--model", eight_path,
             "--pairs", "4",
-            "--method", "iterative",
+            "--dense-threshold", "0",
             "--out", str(out),
             "--no-timestamp",
         ]
@@ -221,7 +221,7 @@ def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch)
             "ed",
             "--model", str(path),
             "--pairs", "5",
-            "--method", "iterative",
+            "--dense-threshold", "0",
             "--k", "2",
             "--out", str(out),
             "--no-timestamp",
@@ -237,7 +237,8 @@ def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
-def test_ed_too_large_prints_hint(tmp_path, capsys):
+def test_ed_over_budget_exits_3(tmp_path, capsys):
+    # the basis budget refuses the sector before either solver runs
     model = tmp_path / "big.json"
     model.write_text(
         json.dumps({"type": "reduced_bcs", "eps": list(range(1, 41)), "G": 0.5})
@@ -246,19 +247,20 @@ def test_ed_too_large_prints_hint(tmp_path, capsys):
         ["ed", "--model", str(model), "--pairs", "20", "--out", str(tmp_path / "x.json")]
     )
     assert code == 3
-    err = capsys.readouterr().err
-    assert "hint:" in err
-    assert "error:" in err
+    assert capsys.readouterr().err == (
+        "error: sector dimension C(40,20) = 137846528820 exceeds "
+        "the budget of 5000000 states\n"
+    )
 
 
 BAD_FLAGS = [
     (["ed", "--k", "0"], "--k must be in 1..70, got 0"),
     (["ed", "--k", "-2"], "--k must be in 1..70, got -2"),
     (["ed", "--k", "100"], "--k must be in 1..70, got 100"),
-    (["ed", "--k", "71", "--method", "iterative"], "--k must be in 1..70, got 71"),
-    (["ed", "--method", "iterative", "--tol", "nan"], "tol must be finite and positive, got nan"),
-    (["ed", "--method", "iterative", "--tol", "inf"], "tol must be finite and positive, got inf"),
-    (["ed", "--method", "iterative", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["ed", "--k", "71", "--dense-threshold", "0"], "--k must be in 1..70, got 71"),
+    (["ed", "--dense-threshold", "0", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["ed", "--dense-threshold", "0", "--tol", "inf"], "tol must be finite and positive, got inf"),
+    (["ed", "--dense-threshold", "0", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["ed", "--tol", "nan"], "tol must be finite and positive, got nan"),
     (["ed", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["dmrg", "--m", "32", "--tol", "inf"], "tol must be finite and positive, got inf"),
@@ -277,6 +279,26 @@ def test_bad_solver_flags_exit_2(eight_path, tmp_path, capsys, argv, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "eight.json"]
+
+
+COMMON_OPTIONS = {"func", "model", "pairs", "out", "seed", "tol", "no_timestamp"}
+SOLVE = ["--model", "m.json", "--pairs", "1", "--out", "o.json"]
+OPTION_SETS = [
+    (
+        ["build", "--out", "o.json"],
+        {"func", "input", "family", "g", "epsilon", "eta", "bcs_g", "out", "no_timestamp"},
+    ),
+    (["ed", *SOLVE], COMMON_OPTIONS | {"k", "dense_threshold"}),
+    (["dmrg", *SOLVE, "--m", "4"], COMMON_OPTIONS | {"m", "history"}),
+    (["compare", *SOLVE, "--m", "4"], COMMON_OPTIONS | {"m", "dense_threshold", "format"}),
+    (["sweep", *SOLVE, "--m-list", "4"], COMMON_OPTIONS | {"m_list", "format"}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", OPTION_SETS, ids=[argv[0] for argv, _ in OPTION_SETS])
+def test_option_census(argv, keys):
+    # every option of every subcommand: a new knob is an edit here
+    assert set(vars(cli.build_parser().parse_args(argv))) == keys
 
 
 def test_ed_pairs_beyond_levels(toy_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -394,6 +395,37 @@ def test_config_validation():
         DmrgConfig(m=4, total_pairs=2, seed=-1)
     with pytest.raises(InvariantViolation):
         DmrgConfig(m=4, total_pairs=2, max_superblock_iters=0)
+
+
+NON_INTEGERS = [
+    ("dmrg", "m", 8.0),
+    ("dmrg", "total_pairs", 4.0),
+    ("dmrg", "max_superblock_iters", 500.5),
+    ("dmrg", "seed", 1.5),
+    ("ed", "k", 2.0),
+    ("ed", "seed", 0.5),
+    ("ed", "max_iterations", 100.5),
+]
+
+
+@pytest.mark.parametrize("solver, name, value", NON_INTEGERS)
+def test_non_integer_sizes_and_seeds_are_rejected_up_front(solver, name, value):
+    # rejected before the solve starts, not with a TypeError from inside
+    # it; numpy integers of the same value pass
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+
+    def run(v):
+        if solver == "dmrg":
+            return run_infinite(model, DmrgConfig(**{"m": 8, "total_pairs": 4, name: v}))
+        return exactdiag.iterative_ground(model, enumerate_basis(10, 5), **{name: v})
+
+    # iterative_ground hands max_iterations on as lowest_eigenpairs' maxiter
+    reported = "maxiter" if name == "max_iterations" else name
+    message = re.escape(f"{reported} must be an integer, got {value!r}")
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        run(value)
+    assert exc.value.exit_code == 2
+    run(np.int64(int(value)))
 
 
 def test_init_blocks_half_filling():
