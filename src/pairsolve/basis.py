@@ -6,17 +6,29 @@ States with a fixed pair count are enumerated in ascending integer order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, TooLarge
 
-#: Largest basis allowed without an explicit budget override.
+#: Largest basis enumerate_basis allocates.
 DEFAULT_MAX_DIM = 5_000_000
 
 
+def check_integers(**values):
+    """Reject each value that is neither None nor an integer (numpy
+    integers pass) with InvariantViolation."""
+    for name, value in values.items():
+        try:
+            operator.index(0 if value is None else value)
+        except TypeError:
+            raise InvariantViolation(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_sizes(n_levels: int, n_pairs: int):
+    check_integers(n_levels=n_levels, n_pairs=n_pairs)
     if n_levels < 1 or n_levels > 63:
         # patterns are stored in int64; bit 63 would flip the sign
         raise InvariantViolation(f"n_levels must be in 1..63, got {n_levels}")
@@ -73,17 +85,17 @@ class PairBasis:
         return len(self.patterns)
 
 
-def enumerate_basis(n_levels: int, n_pairs: int, max_dim: int = DEFAULT_MAX_DIM) -> PairBasis:
+def enumerate_basis(n_levels: int, n_pairs: int) -> PairBasis:
     """Enumerate one sector, guarding against runaway dimensions.
 
     Raises TooLarge before allocating anything if C(n_levels, n_pairs)
-    exceeds ``max_dim``; pass a larger budget to override.
+    exceeds DEFAULT_MAX_DIM.
     """
     dim = sector_dimension(n_levels, n_pairs)
-    if dim > max_dim:
+    if dim > DEFAULT_MAX_DIM:
         raise TooLarge(
             f"sector dimension C({n_levels},{n_pairs}) = {dim} exceeds "
-            f"the budget of {max_dim} states"
+            f"the budget of {DEFAULT_MAX_DIM} states"
         )
     return PairBasis(
         n_levels=n_levels,

@@ -12,7 +12,6 @@ PairsolveError class its code; main maps the numpy and builtin errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ from .dmrg import (
     without_timings,
 )
 from .errors import NoConvergence, PairsolveError, SchemaError
-from .exactdiag import DENSE_THRESHOLD, check_solver_args, dense_spectrum, iterative_ground
+from .exactdiag import check_solver_args, iterative_ground
 from .model import (
     FamilyKind,
     IntegrableSpec,
@@ -137,16 +136,14 @@ def cmd_build(args) -> int:
 # --- ed --------------------------------------------------------------------
 
 
-def _exact_diag(model, basis, args, k=None):
-    """Dense spectrum (its k lowest energies, or all) up to the dense
-    threshold, else the k lowest states (default 1) by the iterative solver."""
-    if k is not None and not 1 <= k <= basis.dim:
+def _exact_diag(model, basis, args, k=1):
+    """The k lowest states by iterative_ground, which solves small
+    sectors, or k > dim - 2 (all of them at k = dim), densely; the flags
+    are checked before the action is built."""
+    if not 1 <= k <= basis.dim:
         raise SchemaError(f"--k must be in 1..{basis.dim}, got {k}")
     check_solver_args(args.tol, args.seed)
-    if basis.dim <= args.dense_threshold:
-        result = dense_spectrum(model, basis, dense_threshold=args.dense_threshold)
-        return dataclasses.replace(result, energies=result.energies[:k])
-    return iterative_ground(model, basis, k=k or 1, tol=args.tol, seed=args.seed)
+    return iterative_ground(model, basis, k=k, tol=args.tol, seed=args.seed)
 
 
 def cmd_ed(args) -> int:
@@ -324,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("ed", help="exact diagonalization of one pair sector")
     _add_common(e)
-    e.add_argument("--k", type=int, help="number of lowest states (default 1)")
-    e.add_argument("--dense-threshold", type=int, default=DENSE_THRESHOLD)
+    e.add_argument("--k", type=int, default=1, help="number of lowest states (default 1)")
     e.set_defaults(func=cmd_ed)
 
     d = sub.add_parser("dmrg", help="infinite-algorithm DMRG run")
@@ -337,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="DMRG vs exact diagonalization")
     _add_common(c)
     c.add_argument("--m", type=int, required=True)
-    c.add_argument("--dense-threshold", type=int, default=DENSE_THRESHOLD)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.set_defaults(func=cmd_compare)
 

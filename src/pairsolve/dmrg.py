@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from .errors import (
     NotNormalized,
     OddN,
 )
-from .exactdiag import check_integers, check_solver_args, eigensolver_entries, lowest_eigenpairs
+from .basis import check_integers
+from .exactdiag import check_solver_args, eigensolver_entries, lowest_eigenpairs
 from .model import PairingModel
 
 #: One level's pair creation and number operator, indexed by mode kind.
@@ -247,17 +248,16 @@ class DmrgConfig:
     rule and start vector of the superblock solves.
 
     A superblock sector above 64 states is solved by Davidson's method,
-    which stops at ``||H x - E x|| <= superblock_tol * |E|``;
-    ``max_superblock_iters`` caps its steps, one matvec each (default ten
-    times the sector dimension), and a solve that runs out raises
-    NoConvergence with its last estimate and residual.  ``seed`` draws the
-    perturbation of the start vector of solves without a warm start.
+    which stops at ``||H x - E x|| <= superblock_tol * |E|`` within ten
+    times the sector dimension steps, one matvec each; a solve that runs
+    out raises NoConvergence with its last estimate and residual.
+    ``seed`` draws the perturbation of the start vector of solves without
+    a warm start.
     """
 
     m: int
     total_pairs: int
     superblock_tol: float = 1e-10
-    max_superblock_iters: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -269,9 +269,6 @@ class DmrgConfig:
                 f"total_pairs must be nonnegative, got {self.total_pairs}"
             )
         check_solver_args(self.superblock_tol, self.seed)
-        check_integers(max_superblock_iters=self.max_superblock_iters)
-        if self.max_superblock_iters is not None and self.max_superblock_iters < 1:
-            raise InvariantViolation("max_superblock_iters must be positive")
 
 
 def target_pairs(k: int, n_levels: int, total_pairs: int) -> int:
@@ -473,7 +470,6 @@ def _solve_superblock(hole, particle, model, target, config, guess=None):
         tol=config.superblock_tol,
         v0=v0,
         seed=config.seed,
-        maxiter=config.max_superblock_iters,
         diagonal=op.diagonal,
     )
     x = pairs.vectors[:, 0]

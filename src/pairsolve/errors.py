@@ -32,7 +32,7 @@ class InvariantViolation(PairsolveError):
 
 
 class TooLarge(PairsolveError):
-    """Requested object exceeds the configured size budget."""
+    """Requested object exceeds a fixed size limit."""
 
     exit_code = 3
 

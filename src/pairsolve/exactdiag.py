@@ -3,24 +3,23 @@
 Provides a matrix-free Hamiltonian action over a PairBasis (C (v1 (x) 1)
 C^T with one sparse pair-lowering matrix C, or g (P^T P - min(M, N-M))
 for the constant hop g of reduced BCS), a dense full-spectrum solver for
-small sectors (the verification oracle), an iterative solver for large
-ones, and lowest_eigenpairs, the eigensolver entry point that the DMRG
-superblock solve shares.  Above the dense fallback size, the lowest k
-states are found by Davidson's method preconditioned with the operator's
-diagonal, in a subspace held to a fixed number of entries plus two
-vectors per extra state.
+small sectors (the verification oracle), iterative_ground for any
+sector, and lowest_eigenpairs, the eigensolver entry point that
+iterative_ground and the DMRG superblock solve share.  Above the dense
+fallback size, the lowest k states are found by Davidson's method
+preconditioned with the operator's diagonal, in a subspace held to a
+fixed number of entries plus two vectors per extra state.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .basis import PairBasis, enumerate_basis
+from .basis import PairBasis, check_integers, enumerate_basis
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .model import PairingModel
 
-#: Largest sector handled by the dense solver unless overridden.
+#: Largest sector dense_spectrum diagonalizes.
 DENSE_THRESHOLD = 4000
 
 #: lowest_eigenpairs diagonalizes operators up to this size per wanted
@@ -243,16 +242,6 @@ def _residual(matvec, energies, vectors) -> float:
     return worst
 
 
-def check_integers(**values):
-    """Reject each value that is neither None nor an integer (numpy
-    integers pass) with InvariantViolation."""
-    for name, value in values.items():
-        try:
-            operator.index(0 if value is None else value)
-        except TypeError:
-            raise InvariantViolation(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_solver_args(tol: float, seed: int):
     """Reject a tolerance that is not finite and positive, or a seed that
     is not a nonnegative integer, with InvariantViolation."""
@@ -426,16 +415,14 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     )
 
 
-def dense_spectrum(
-    model: PairingModel,
-    basis: PairBasis,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> SpectrumResult:
-    """Full spectrum by direct diagonalization; the small-sector oracle."""
-    if basis.dim > dense_threshold:
+def dense_spectrum(model: PairingModel, basis: PairBasis) -> SpectrumResult:
+    """Full spectrum by direct diagonalization; the small-sector oracle
+    that the tests check the solvers against.  A sector of more than
+    DENSE_THRESHOLD states raises TooLarge."""
+    if basis.dim > DENSE_THRESHOLD:
         raise TooLarge(
             f"sector size {basis.dim} exceeds the dense threshold "
-            f"{dense_threshold}"
+            f"{DENSE_THRESHOLD}"
         )
     action = HamiltonianAction(model, basis)
     h = action.dense_matrix()
@@ -456,20 +443,18 @@ def iterative_ground(
     k: int = 1,
     tol: float = 1e-10,
     seed: int = 0,
-    max_iterations: Optional[int] = None,
 ) -> SpectrumResult:
-    """Lowest k eigenvalues by lowest_eigenpairs on the action.
+    """Lowest k eigenvalues by lowest_eigenpairs on the action; the one
+    exact-diagonalization call of the command line.
 
     Davidson's method, preconditioned with the action's diagonal, finds
-    the k pairs, and ``max_iterations`` caps its steps, one matvec each
-    (default ten times the sector size); one more matvec per pair
-    certifies its residual afresh.  Each pair stops at ``||H x - E x|| <=
-    tol * |E|``, sooner where roundoff bounds the residual above that
-    (energies near 0).  The start block is drawn from ``seed``, making
-    the run deterministic.  Sectors of at most 64 min(k, 8) states, or
-    with k too close to the full dimension for the iteration to run, are
-    solved densely.  A ``max_iterations`` below k raises
-    InvariantViolation.
+    the k pairs in at most ten times the sector size steps, one matvec
+    each; one more matvec per pair certifies its residual afresh.  Each
+    pair stops at ``||H x - E x|| <= tol * |E|``, sooner where roundoff
+    bounds the residual above that (energies near 0).  The start block is
+    drawn from ``seed``, making the run deterministic.  Sectors of at
+    most 64 min(k, 8) states, or with k > dim - 2 (the full spectrum is
+    k = dim), are solved densely.
     """
     action = HamiltonianAction(model, basis)
     pairs = lowest_eigenpairs(
@@ -478,7 +463,6 @@ def iterative_ground(
         k,
         tol=tol,
         seed=seed,
-        maxiter=max_iterations,
         diagonal=action.diagonal,
     )
     residual, matvecs = pairs.residual, pairs.matvecs

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,9 +75,17 @@ def test_basis_dim_and_alias():
 
 
 def test_enumerate_basis_too_large():
-    with pytest.raises(TooLarge) as exc:
-        enumerate_basis(16, 8, max_dim=1000)
-    assert "12870" in str(exc.value)
+    # C(30, 15) int64 patterns would take 1.2 GB; the budget refuses them
+    # before any array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as exc:
+            enumerate_basis(30, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "155117520" in str(exc.value)
+    assert peak < 1 << 16
     # default budget allows anything at or under five million states
     assert sector_dimension(24, 12) < DEFAULT_MAX_DIM
     assert enumerate_basis(16, 8).dim == 12870

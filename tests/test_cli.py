@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import subprocess
@@ -26,13 +27,15 @@ from pairsolve import (
     SingularKernel,
     TooLarge,
     build_reduced_bcs,
+    dense_spectrum,
     enumerate_basis,
     iterative_ground,
     memory_report,
     run_infinite,
 )
-from pairsolve import cli
+from pairsolve import cli, exactdiag
 from pairsolve.cli import main
+from pairsolve.exactdiag import lowest_eigenpairs
 
 TOY_GROUND = 4.5103478446361525
 
@@ -160,7 +163,8 @@ def test_ed_dense_on_toy(toy_path, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs", "matvecs"}
     assert doc["energies"][0] == pytest.approx(TOY_GROUND, abs=1e-10)
-    assert len(doc["energies"]) == 6
+    # the ground state alone unless --k asks for more
+    assert len(doc["energies"]) == 1
     manifest = json.loads((tmp_path / "ed.json.manifest.json").read_text())
     assert manifest["command"] == "ed"
     assert manifest["overrides"]["pairs"] == 2
@@ -178,21 +182,16 @@ def test_ed_k_slices_dense_spectrum(toy_path, tmp_path):
 
 
 def test_ed_iterative_method(eight_path, tmp_path, capsys):
+    # 70 states, above the dense fallback of one pair
     out = tmp_path / "ed.json"
     code = main(
-        [
-            "ed",
-            "--model", eight_path,
-            "--pairs", "4",
-            "--dense-threshold", "0",
-            "--out", str(out),
-            "--no-timestamp",
-        ]
+        ["ed", "--model", eight_path, "--pairs", "4", "--out", str(out), "--no-timestamp"]
     )
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["method"] == "iterative"
     assert doc["n_pairs"] == 4
+    assert len(doc["energies"]) == 1
     # the solve's work and certificate follow the energy on stdout
     lines = capsys.readouterr().out.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("ground energy: "))
@@ -203,6 +202,18 @@ def test_ed_iterative_method(eight_path, tmp_path, capsys):
     assert doc["matvecs"] > 0
 
 
+def test_ed_full_spectrum_is_k_equal_to_dim(eight_path, tmp_path):
+    # k > dim - 2 takes the eigensolver's dense branch: every energy
+    out = tmp_path / "ed.json"
+    argv = ["ed", "--model", eight_path, "--pairs", "4", "--k", "70", "--out", str(out)]
+    assert main([*argv, "--no-timestamp"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["method"] == "dense"
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)  # EIGHT_DOC
+    exact = dense_spectrum(model, enumerate_basis(8, 4)).energies
+    assert np.allclose(doc["energies"], exact, rtol=1e-12, atol=0.0)
+
+
 def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch):
     # three Davidson steps for two pairs cannot converge; the CLI prints
     # the Ritz values and the residual that NoConvergence carries.  Ten
@@ -211,17 +222,16 @@ def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch)
     model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
     path = tmp_path / "ten.json"
     path.write_text(json.dumps(pairsolve.save_model(model)))
-    short = functools.partial(iterative_ground, max_iterations=3)
+    short = functools.partial(lowest_eigenpairs, maxiter=3)
+    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
     with pytest.raises(NoConvergence) as exc:
-        short(model, enumerate_basis(10, 5), k=2)
-    monkeypatch.setattr(cli, "iterative_ground", short)
+        iterative_ground(model, enumerate_basis(10, 5), k=2)
     out = tmp_path / "ed.json"
     code = main(
         [
             "ed",
             "--model", str(path),
             "--pairs", "5",
-            "--dense-threshold", "0",
             "--k", "2",
             "--out", str(out),
             "--no-timestamp",
@@ -257,11 +267,9 @@ BAD_FLAGS = [
     (["ed", "--k", "0"], "--k must be in 1..70, got 0"),
     (["ed", "--k", "-2"], "--k must be in 1..70, got -2"),
     (["ed", "--k", "100"], "--k must be in 1..70, got 100"),
-    (["ed", "--k", "71", "--dense-threshold", "0"], "--k must be in 1..70, got 71"),
-    (["ed", "--dense-threshold", "0", "--tol", "nan"], "tol must be finite and positive, got nan"),
-    (["ed", "--dense-threshold", "0", "--tol", "inf"], "tol must be finite and positive, got inf"),
-    (["ed", "--dense-threshold", "0", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["ed", "--k", "71"], "--k must be in 1..70, got 71"),
     (["ed", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["ed", "--tol", "inf"], "tol must be finite and positive, got inf"),
     (["ed", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["dmrg", "--m", "32", "--tol", "inf"], "tol must be finite and positive, got inf"),
     (["dmrg", "--m", "32", "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -288,9 +296,9 @@ OPTION_SETS = [
         ["build", "--out", "o.json"],
         {"func", "input", "family", "g", "epsilon", "eta", "bcs_g", "out", "no_timestamp"},
     ),
-    (["ed", *SOLVE], COMMON_OPTIONS | {"k", "dense_threshold"}),
+    (["ed", *SOLVE], COMMON_OPTIONS | {"k"}),
     (["dmrg", *SOLVE, "--m", "4"], COMMON_OPTIONS | {"m", "history"}),
-    (["compare", *SOLVE, "--m", "4"], COMMON_OPTIONS | {"m", "dense_threshold", "format"}),
+    (["compare", *SOLVE, "--m", "4"], COMMON_OPTIONS | {"m", "format"}),
     (["sweep", *SOLVE, "--m-list", "4"], COMMON_OPTIONS | {"m_list", "format"}),
 ]
 
@@ -299,6 +307,25 @@ OPTION_SETS = [
 def test_option_census(argv, keys):
     # every option of every subcommand: a new knob is an edit here
     assert set(vars(cli.build_parser().parse_args(argv))) == keys
+
+
+LIBRARY_KNOBS = [
+    (iterative_ground, {"model", "basis", "k", "tol", "seed"}),
+    (dense_spectrum, {"model", "basis"}),
+    (enumerate_basis, {"n_levels", "n_pairs"}),
+    (lowest_eigenpairs, {"matvec", "n", "k", "tol", "v0", "seed", "maxiter", "diagonal"}),
+]
+
+
+@pytest.mark.parametrize("func, names", LIBRARY_KNOBS, ids=[f.__name__ for f, _ in LIBRARY_KNOBS])
+def test_library_knob_census(func, names):
+    # every parameter of the solver entry points: a new knob is an edit here
+    assert set(inspect.signature(func).parameters) == names
+
+
+def test_dmrg_config_census():
+    fields = {f.name for f in dataclasses.fields(DmrgConfig)}
+    assert fields == {"m", "total_pairs", "superblock_tol", "seed"}
 
 
 def test_ed_pairs_beyond_levels(toy_path, tmp_path, capsys):

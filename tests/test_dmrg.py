@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -393,18 +394,17 @@ def test_config_validation():
             DmrgConfig(m=4, total_pairs=2, superblock_tol=tol)
     with pytest.raises(InvariantViolation):
         DmrgConfig(m=4, total_pairs=2, seed=-1)
-    with pytest.raises(InvariantViolation):
-        DmrgConfig(m=4, total_pairs=2, max_superblock_iters=0)
 
 
 NON_INTEGERS = [
     ("dmrg", "m", 8.0),
     ("dmrg", "total_pairs", 4.0),
-    ("dmrg", "max_superblock_iters", 500.5),
     ("dmrg", "seed", 1.5),
     ("ed", "k", 2.0),
     ("ed", "seed", 0.5),
-    ("ed", "max_iterations", 100.5),
+    ("eigensolver", "maxiter", 100.5),
+    ("basis", "n_levels", 10.0),
+    ("basis", "n_pairs", 5.0),
 ]
 
 
@@ -417,11 +417,16 @@ def test_non_integer_sizes_and_seeds_are_rejected_up_front(solver, name, value):
     def run(v):
         if solver == "dmrg":
             return run_infinite(model, DmrgConfig(**{"m": 8, "total_pairs": 4, name: v}))
+        if solver == "basis":
+            return enumerate_basis(**{"n_levels": 10, "n_pairs": 5, name: v})
+        if solver == "eigensolver":
+            action = exactdiag.HamiltonianAction(model, enumerate_basis(10, 5))
+            return exactdiag.lowest_eigenpairs(
+                action.apply, action.basis.dim, tol=1e-10, diagonal=action.diagonal, **{name: v}
+            )
         return exactdiag.iterative_ground(model, enumerate_basis(10, 5), **{name: v})
 
-    # iterative_ground hands max_iterations on as lowest_eigenpairs' maxiter
-    reported = "maxiter" if name == "max_iterations" else name
-    message = re.escape(f"{reported} must be an integer, got {value!r}")
+    message = re.escape(f"{name} must be an integer, got {value!r}")
     with pytest.raises(InvariantViolation, match=message) as exc:
         run(value)
     assert exc.value.exit_code == 2
@@ -523,11 +528,18 @@ def test_superblock_matches_dense_sector():
     assert np.allclose(lam, TOY_RHO_EIGS, atol=1e-9)
 
 
-def test_superblock_reports_non_convergence():
+def one_step_solves(monkeypatch):
+    """Cap every superblock solve at one Davidson step."""
+    short = functools.partial(exactdiag.lowest_eigenpairs, maxiter=1)
+    monkeypatch.setattr(dmrg, "lowest_eigenpairs", short)
+
+
+def test_superblock_reports_non_convergence(monkeypatch):
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     hole = exact_block(model, [5, 4, 3, 2, 1, 0])
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
-    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15, max_superblock_iters=1)
+    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15)
+    one_step_solves(monkeypatch)
     with pytest.raises(NoConvergence):
         dmrg._solve_superblock(hole, particle, model, 6, config)
 
@@ -553,13 +565,14 @@ def test_solve_record_reports_matvecs_residual_and_overlap():
     assert record["warm_start_overlap"] == pytest.approx(0.6, abs=1e-4)
 
 
-def test_non_convergence_carries_best_estimate_and_iteration():
+def test_non_convergence_carries_best_estimate_and_iteration(monkeypatch):
     # the case above: one Davidson step from the lowest-diagonal start
     # leaves that vector's Rayleigh quotient and residual
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     hole = exact_block(model, [5, 4, 3, 2, 1, 0])
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
-    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15, max_superblock_iters=1)
+    config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15)
+    one_step_solves(monkeypatch)
     with pytest.raises(NoConvergence) as exc:
         dmrg._solve_superblock(hole, particle, model, 6, config)
     op = _Superblock(hole, particle, model, 6)

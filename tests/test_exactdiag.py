@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -289,8 +290,6 @@ def test_dense_spectrum_too_large():
     assert basis.dim > DENSE_THRESHOLD
     with pytest.raises(TooLarge):
         dense_spectrum(model, basis)
-    with pytest.raises(TooLarge):
-        dense_spectrum(build_reduced_bcs([1.0, 2.0, 3.0, 4.0], 0.5), enumerate_basis(4, 2), dense_threshold=5)
 
 
 def test_uniform_level_shift_moves_spectrum_rigidly():
@@ -396,8 +395,6 @@ def test_iterative_argument_validation():
 @pytest.mark.parametrize("steps", [-1, 0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_max_iterations_below_one_rejected_up_front(steps, k):
-    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
-    basis = enumerate_basis(8, 4)  # 70 states, above the dense fallback
     calls = []
 
     def matvec(x):
@@ -406,8 +403,6 @@ def test_max_iterations_below_one_rejected_up_front(steps, k):
 
     # the start block alone takes k steps, so k - 1 is rejected as well
     for maxiter in (steps, k - 1):
-        with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
-            iterative_ground(model, basis, k=k, max_iterations=maxiter)
         with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
             lowest_eigenpairs(
                 matvec, 100, k, tol=1e-10, maxiter=maxiter, diagonal=np.ones(100)
@@ -422,11 +417,13 @@ def test_ground_state_solve_needs_the_diagonal():
             lowest_eigenpairs(lambda x: x, 100, k, tol=1e-10)
 
 
-def test_iterative_reports_non_convergence():
+def test_iterative_reports_non_convergence(monkeypatch):
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     basis = enumerate_basis(12, 6)  # 924 states
+    short = functools.partial(lowest_eigenpairs, maxiter=1)
+    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
     with pytest.raises(NoConvergence) as exc:
-        iterative_ground(model, basis, tol=1e-15, max_iterations=1)
+        iterative_ground(model, basis, tol=1e-15)
     err = exc.value
     assert "converge" in str(err)
     # one Davidson step: the Rayleigh quotient of the start vector
@@ -467,7 +464,7 @@ def test_eigensolver_entries_counts_what_davidson_holds(n):
     assert 2 * cap * n + cap**2 <= max(held) <= eigensolver_entries(n)
 
 
-def test_non_convergence_pairs_energies_with_their_vectors():
+def test_non_convergence_pairs_energies_with_their_vectors(monkeypatch):
     # four steps for three pairs: the start block and one correction, so
     # the subspace is spanned by the four vectors H was applied to, and a
     # Rayleigh-Ritz on them gives the energies and the residuals of their
@@ -500,8 +497,10 @@ def test_non_convergence_pairs_energies_with_their_vectors():
     # Ritz values lie above the eigenvalues they approximate
     assert np.all(err.energies >= dense_spectrum(model, basis).energies[:3])
     # iterative_ground starts from the same block and raises the same
+    short = functools.partial(lowest_eigenpairs, maxiter=4)
+    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
     with pytest.raises(NoConvergence) as again:
-        iterative_ground(model, basis, k=3, max_iterations=4)
+        iterative_ground(model, basis, k=3)
     assert np.array_equal(again.value.energies, err.energies)
     assert again.value.residual == err.residual
 
