@@ -271,6 +271,9 @@ BAD_FLAGS = [
     (["ed", "--tol", "nan"], "tol must be finite and positive, got nan"),
     (["ed", "--tol", "inf"], "tol must be finite and positive, got inf"),
     (["ed", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    # k = 1 on 70 states runs Davidson, k = 70 the dense build; both refuse these
+    (["ed", "--k", "70", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["ed", "--k", "70", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["dmrg", "--m", "32", "--tol", "inf"], "tol must be finite and positive, got inf"),
     (["dmrg", "--m", "32", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["sweep", "--m-list", "2,x"], "--m-list must be comma-separated integers, got 'x'"),
