@@ -18,11 +18,11 @@ DEFAULT_MAX_DIM = 5_000_000
 
 
 def check_integers(**values):
-    """Reject each value that is neither None nor an integer (numpy
-    integers pass) with InvariantViolation."""
+    """Reject each value that is not an integer (numpy integers pass)
+    with InvariantViolation."""
     for name, value in values.items():
         try:
-            operator.index(0 if value is None else value)
+            operator.index(value)
         except TypeError:
             raise InvariantViolation(f"{name} must be an integer, got {value!r}") from None
 

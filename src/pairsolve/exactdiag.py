@@ -8,7 +8,8 @@ sector, and lowest_eigenpairs, the eigensolver entry point that
 iterative_ground and the DMRG superblock solve share.  Above the dense
 fallback size, the lowest k states are found by Davidson's method
 preconditioned with the operator's diagonal, in a subspace held to a
-fixed number of entries plus two vectors per extra state.
+fixed number of entries plus two vectors per extra state.  Dense
+eigenproblems go to numpy's eigh; scipy only builds the action.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .basis import PairBasis, check_integers, enumerate_basis
 from .errors import (
@@ -268,18 +268,21 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size times min(k, 8), or with k > n - 2, the
-    matrix is built column by column and diagonalized.  Otherwise
-    _davidson runs on the operator's ``diagonal`` from the k rows of
-    ``v0`` (for k = 1, a vector), or from the k lowest-diagonal unit
-    vectors plus a perturbation drawn from ``seed``; ``maxiter`` caps its
-    steps, one matvec each.  A k or ``maxiter`` that is not an integer, a
-    ``maxiter`` below k, or no ``diagonal`` raises InvariantViolation.
+    matrix is built column by column and diagonalized by numpy's eigh.
+    Otherwise _davidson runs on the operator's ``diagonal`` from the k
+    rows of ``v0`` (for k = 1, a vector), or from the k lowest-diagonal
+    unit vectors (ties by index, found by a partition, not a full sort)
+    plus a perturbation drawn from ``seed``; ``maxiter`` (default 10 n)
+    caps its steps, one matvec each.  A k or ``maxiter`` that is not an
+    integer, a ``maxiter`` below k, or no ``diagonal`` raises
+    InvariantViolation.
     """
+    maxiter = 10 * n if maxiter is None else maxiter
     check_integers(k=k, maxiter=maxiter)
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
     check_solver_args(tol, seed)
-    if maxiter is not None and maxiter < k:
+    if maxiter < k:
         raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
     if diagonal is None:
         raise InvariantViolation("the solve needs the operator's diagonal")
@@ -293,18 +296,17 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
         # a negative diagonal times 0 leaves -0.0, which can flip eigh's
         # Householder signs; dense_matrix holds +0.0 there
         h += 0.0
-        energies, vectors = scipy.linalg.eigh(h)
+        energies, vectors = np.linalg.eigh(h)
         energies, vectors = energies[:k], vectors[:, :k]
         residual = float(np.linalg.norm(h @ vectors - vectors * energies, axis=0).max())
         return Eigenpairs(energies, vectors, "dense", residual, n)
     if v0 is None:
         start = _DAVIDSON_START_NOISE * np.random.default_rng(seed).standard_normal((k, n))
-        start[np.arange(k), np.argsort(diagonal, kind="stable")[:k]] += 1.0
+        (low,) = np.nonzero(diagonal <= np.partition(diagonal, k - 1)[k - 1])
+        start[np.arange(k), low[np.argsort(diagonal[low], kind="stable")[:k]]] += 1.0
     else:
         start = np.reshape(v0, (k, n))
-    energies, vectors, residual, steps = _davidson(
-        matvec, diagonal, start, tol, 10 * n if maxiter is None else maxiter
-    )
+    energies, vectors, residual, steps = _davidson(matvec, diagonal, start, tol, maxiter)
     return Eigenpairs(energies, vectors, "iterative", residual, steps)
 
 
@@ -316,15 +318,16 @@ def _davidson_cap(n: int) -> int:
 
 def eigensolver_entries(n: int) -> int:
     """Entries a k = 1 lowest_eigenpairs solve holds beyond its operator:
-    the dense matrix up to the fallback size, otherwise what _davidson
-    holds: the subspace interleaved with its image, their projected
-    matrix, the vectors r, t and the denominator (a restart forms its
-    new rows in r), and the Ritz values and coefficients of this step
-    and the last."""
+    the dense matrix up to the fallback size, otherwise the arrays of
+    _davidson and those numpy made for it: the subspace interleaved with
+    its image, their projected matrix, r, t and the denominator (a
+    restart forms its new rows in r), the Ritz values, the coefficients
+    of this step and the last, their (2j, k) residual form, the last
+    restart's QR factor, and the k norms, bounds and unconverged indices."""
     if n <= _DENSE_FALLBACK_DIM:
         return n * n
     cap = _davidson_cap(n)
-    return (2 * cap + 3) * n + cap**2 + 3 * cap
+    return (2 * cap + 3) * n + cap**2 + 7 * cap + 3
 
 
 def _davidson(matvec, diagonal, start, tol, maxiter):
@@ -339,9 +342,9 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     r / max(|diagonal - theta|, floor) of the lowest pair not yet
     converged, written in place.  The subspace and its image sit
     interleaved, row pairs (v, Hv), so one (k, 2j) @ (2j, n) product with
-    coefficients (-theta y, y) gives all k residuals; LAPACK's dsyevr
-    solves the projected problem for its k lowest pairs, and no Ritz
-    vector is formed before the return.  A full subspace,
+    coefficients (-theta y, y) gives all k residuals; numpy's eigh solves
+    the projected problem, of which a copy of the k lowest pairs is kept,
+    and no Ritz vector is formed before the return.  A full subspace,
     _davidson_cap(n) + 2(k - 1) vectors or n, restarts from its k Ritz
     vectors and the previous step's k (Stathopoulos and McCombs' "+k"),
     orthonormalized by a QR of their coefficients.  A pair has converged
@@ -377,12 +380,8 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
         if j < k:
             t[:] = start[j]
             continue
-        theta, y, _, _, info = scipy.linalg.lapack.dsyevr(
-            proj[:j, :j], range="I", lower=1, il=1, iu=k
-        )
-        if info:
-            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
-        theta = theta[:k]
+        theta, y = np.linalg.eigh(proj[:j, :j])
+        theta, y = theta[:k], y[:, :k].copy()
         coef = np.stack((y * -theta, y), axis=1).reshape(2 * j, k)
         np.matmul(coef.T, pairs[:j].reshape(2 * j, n), out=r)
         norms = np.sqrt(np.einsum("ij,ij->i", r, r))
@@ -416,8 +415,8 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
 
 
 def dense_spectrum(model: PairingModel, basis: PairBasis) -> SpectrumResult:
-    """Full spectrum by direct diagonalization; the small-sector oracle
-    that the tests check the solvers against.  A sector of more than
+    """Full spectrum by numpy's eigh of the dense matrix; the small-sector
+    oracle that the tests check the solvers against.  A sector of more than
     DENSE_THRESHOLD states raises TooLarge."""
     if basis.dim > DENSE_THRESHOLD:
         raise TooLarge(
@@ -426,7 +425,7 @@ def dense_spectrum(model: PairingModel, basis: PairBasis) -> SpectrumResult:
         )
     action = HamiltonianAction(model, basis)
     h = action.dense_matrix()
-    energies, vectors = scipy.linalg.eigh(h)
+    energies, vectors = np.linalg.eigh(h)
     return SpectrumResult(
         energies=energies,
         residual=_residual(action.apply, energies, vectors),

@@ -30,6 +30,7 @@ from pairsolve import (
     memory_report,
     reduced_density,
     run_infinite,
+    sector_dimension,
     summary_dict,
     target_pairs,
 )
@@ -405,20 +406,27 @@ NON_INTEGERS = [
     ("eigensolver", "maxiter", 100.5),
     ("basis", "n_levels", 10.0),
     ("basis", "n_pairs", 5.0),
+    ("dmrg", "m", None),
+    ("dmrg", "total_pairs", None),
+    ("dmrg", "seed", None),
+    ("ed", "k", None),
+    ("basis", "n_levels", None),
+    ("sector", "n_pairs", None),
 ]
 
 
 @pytest.mark.parametrize("solver, name, value", NON_INTEGERS)
 def test_non_integer_sizes_and_seeds_are_rejected_up_front(solver, name, value):
     # rejected before the solve starts, not with a TypeError from inside
-    # it; numpy integers of the same value pass
+    # it; numpy integers of the same value pass, and None has none
     model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
 
     def run(v):
         if solver == "dmrg":
             return run_infinite(model, DmrgConfig(**{"m": 8, "total_pairs": 4, name: v}))
-        if solver == "basis":
-            return enumerate_basis(**{"n_levels": 10, "n_pairs": 5, name: v})
+        if solver in ("basis", "sector"):
+            sizes = {"n_levels": 10, "n_pairs": 5, name: v}
+            return enumerate_basis(**sizes) if solver == "basis" else sector_dimension(**sizes)
         if solver == "eigensolver":
             action = exactdiag.HamiltonianAction(model, enumerate_basis(10, 5))
             return exactdiag.lowest_eigenpairs(
@@ -430,7 +438,8 @@ def test_non_integer_sizes_and_seeds_are_rejected_up_front(solver, name, value):
     with pytest.raises(InvariantViolation, match=message) as exc:
         run(value)
     assert exc.value.exit_code == 2
-    run(np.int64(int(value)))
+    if value is not None:
+        run(np.int64(int(value)))
 
 
 def test_init_blocks_half_filling():

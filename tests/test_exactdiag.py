@@ -434,14 +434,17 @@ def test_iterative_reports_non_convergence(monkeypatch):
 
 @pytest.mark.parametrize("n", [65, 8834, 184_756])
 def test_eigensolver_entries_counts_what_davidson_holds(n):
-    # the largest count of doubles that _davidson itself has allocated
-    # and still holds, read at each matvec through a restart; the last
-    # size is where the entry budget shrinks the subspace below its cap.
-    # The operator, 3 - (shift left) - (shift right) on a ring, has a
-    # constant diagonal, so the correction does not speed the iteration.
+    # the largest count of doubles that _davidson, or a numpy function it
+    # called (eigh, qr, stack), has allocated and it still holds, read at
+    # each matvec through a restart; the last size is where the entry
+    # budget shrinks the subspace below its cap.  The operator, 3 - (shift
+    # left) - (shift right) on a ring, has a constant diagonal, so the
+    # correction does not speed the iteration.
     rng = np.random.default_rng(n)
     diagonal = np.full(n, 3.0)
-    here = tracemalloc.Filter(True, exactdiag.__file__, domain=np.lib.tracemalloc_domain)
+    here = tracemalloc.Filter(
+        True, exactdiag.__file__, all_frames=True, domain=np.lib.tracemalloc_domain
+    )
     held = []
 
     def matvec(x):
@@ -450,7 +453,7 @@ def test_eigensolver_entries_counts_what_davidson_holds(n):
         return 3.0 * x - np.roll(x, 1) - np.roll(x, -1)
 
     steps = exactdiag._davidson_cap(n) + 2
-    tracemalloc.start()
+    tracemalloc.start(10)
     try:
         with pytest.raises(NoConvergence):
             exactdiag._davidson(matvec, diagonal, rng.normal(size=(1, n)), 1e-12, steps)
@@ -538,6 +541,26 @@ def test_lowest_eigenpairs_dense_crossover(n, k, method):
     assert matvecs >= n if method == "dense" else matvecs > k
     assert vectors.shape == (n, k)
     assert np.allclose(energies, np.sort(diag)[:k], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 20])
+def test_davidson_starts_at_the_lowest_diagonal_entries(monkeypatch, k):
+    # each start row's unit entry sits where a stable argsort of the
+    # diagonal puts its k lowest entries, ties at the k-th value taken
+    # by index
+    n = 600
+    diagonal = np.random.default_rng(k).integers(0, 60, n).astype(float)
+    assert np.count_nonzero(diagonal == np.sort(diagonal)[k - 1]) > 1
+    starts = []
+
+    def davidson(matvec, diagonal, start, tol, maxiter):
+        starts.append(start)
+        return np.zeros(k), np.zeros((n, k)), 0.0, 0
+
+    monkeypatch.setattr(exactdiag, "_davidson", davidson)
+    lowest_eigenpairs(lambda x: diagonal * x, n, k, tol=1e-10, diagonal=diagonal)
+    want = np.argsort(diagonal, kind="stable")[:k]
+    assert np.array_equal(np.argmax(starts[0], axis=1), want)
 
 
 @pytest.mark.parametrize("k, ceiling", [(2, 560), (4, 795), (8, 1209), (9, 1303), (20, 5130)])
@@ -639,15 +662,8 @@ def test_two_level_ground_closed_form():
     assert res.energies[0] == pytest.approx(-math.sqrt(5.0), abs=1e-12)
 
 
-def test_import_loads_no_scipy_beyond_linalg():
-    # the solvers need scipy.linalg alone, so importing pairsolve after it
-    # loads no further part of scipy
-    code = (
-        "import sys, scipy.linalg\n"
-        "before = set(sys.modules)\n"
-        "import pairsolve\n"
-        "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))"
-    )
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter on these sources."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -655,4 +671,54 @@ def test_import_loads_no_scipy_beyond_linalg():
         env={**os.environ, "PYTHONPATH": str(Path(exactdiag.__file__).parents[1])},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    return proc.stdout
+
+
+def test_dmrg_and_dense_eigensolves_run_without_scipy(tmp_path):
+    # scipy made unimportable: importing pairsolve, loading a model, a DMRG
+    # run whose superblocks take Davidson, both eigensolver branches, and
+    # the build and dmrg commands all run on numpy alone
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import pairsolve
+from pairsolve import cli, dmrg
+model = pairsolve.load_model({{"type": "reduced_bcs", "eps": list(range(1, 17)), "G": 0.4}})
+methods, solve = [], dmrg.lowest_eigenpairs
+
+def recorded(*args, **kwargs):
+    pairs = solve(*args, **kwargs)
+    methods.append(pairs.method)
+    return pairs
+
+dmrg.lowest_eigenpairs = recorded
+pairsolve.run_infinite(model, pairsolve.DmrgConfig(m=16, total_pairs=8))
+assert set(methods) == {{"dense", "iterative"}}, methods
+diagonal = np.arange(100.0)
+branches = [
+    solve(lambda x: diagonal[:n] * x, n, tol=1e-10, diagonal=diagonal[:n]).method
+    for n in (64, 100)
+]
+assert branches == ["dense", "iterative"], branches
+out = {str(tmp_path)!r}
+assert cli.main(["build", "--bcs-g", "0.4", "--epsilon", "1,2,3,4,5,6,7,8,9,10,11,12",
+                 "--out", out + "/m.json", "--no-timestamp"]) == 0
+assert cli.main(["dmrg", "--model", out + "/m.json", "--pairs", "6", "--m", "16",
+                 "--out", out + "/d.json", "--no-timestamp"]) == 0
+"""
+    run_fresh(code)
+
+
+def test_iterative_ground_loads_scipy_sparse_alone():
+    # the Hamiltonian action is the one user of scipy, and no eigensolve
+    # needs scipy.linalg
+    code = """
+import sys
+import pairsolve
+model = pairsolve.build_reduced_bcs(range(1, 11), 0.4)
+pairsolve.iterative_ground(model, pairsolve.enumerate_basis(10, 5))
+print(*sorted(m for m in sys.modules if m in ("scipy.sparse", "scipy.linalg")
+              or m.startswith("scipy.linalg.")))
+"""
+    assert run_fresh(code) == "scipy.sparse\n"
