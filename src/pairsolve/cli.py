@@ -55,8 +55,16 @@ def _write_json(path: str, payload: dict, no_timestamp: bool):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(args, out_path: str, fmt: str):
-    """Record what a command ran with: inputs, resolved flags, output target."""
+def _write_outputs(args, doc: dict, rows=None):
+    """The one writer of every command: ``doc`` to --out as JSON, or
+    under --format csv the table of ``rows``; then <out>.manifest.json,
+    recording what the command ran with (inputs, resolved flags, output
+    target), and a ``wrote`` line on stdout."""
+    fmt = getattr(args, "format", "json")
+    if fmt == "csv":
+        Path(args.out).write_text(csv_text(rows))
+    else:
+        _write_json(args.out, doc, args.no_timestamp)
     skip = {"func", "model", "input", "out", "history", "format", "no_timestamp"}
     manifest = {
         "command": args.func.__name__.removeprefix("cmd_"),
@@ -64,10 +72,11 @@ def _write_manifest(args, out_path: str, fmt: str):
         "overrides": {
             k: v for k, v in vars(args).items() if k not in skip and v is not None
         },
-        "output_path": out_path,
+        "output_path": args.out,
         "format": fmt,
     }
-    _write_json(out_path + ".manifest.json", manifest, args.no_timestamp)
+    _write_json(args.out + ".manifest.json", manifest, args.no_timestamp)
+    print(f"wrote {args.out}")
 
 
 def _expand(parsed) -> PairingModel:
@@ -84,13 +93,17 @@ def _csv_floats(text: str):
     return [float(x) for x in text.split(",")]
 
 
-def _rel_error(diff: float, ref: float) -> float:
-    """``diff / |ref|``; 0 when ``diff`` is 0, else inf when ``ref`` is 0."""
+def _agreement(value: float, ref: float):
+    """How far ``value`` agrees with ``ref``: the absolute error, the
+    relative error (0 when they are equal, inf at ``ref`` 0) and the
+    significant figures they share, ``floor(-log10(rel))`` clipped to
+    0..16 (16 when equal, 0 at inf): 16 figures is the practical ceiling
+    of double precision."""
+    diff = abs(value - ref)
     if diff == 0.0:
-        return 0.0
-    if ref != 0.0:
-        return diff / abs(ref)
-    return math.inf
+        return diff, 0.0, 16
+    rel = diff / abs(ref) if ref != 0.0 else math.inf
+    return diff, rel, 0 if rel >= 1.0 else min(16, math.floor(-math.log10(rel)))
 
 
 # --- build -----------------------------------------------------------------
@@ -127,9 +140,7 @@ def cmd_build(args) -> int:
     print("invariants: ok")
     if not np.any(model.v1) and not np.any(model.v2):
         print("warning: non-interacting model")
-    _write_json(args.out, save_model(model), args.no_timestamp)
-    _write_manifest(args, args.out, "json")
-    print(f"wrote {args.out}")
+    _write_outputs(args, save_model(model))
     return 0
 
 
@@ -159,9 +170,7 @@ def cmd_ed(args) -> int:
     print(f"residual: {float(result.residual)!r}")
     if not args.no_timestamp:
         print(f"wall seconds: {elapsed:.3f}")
-    _write_json(args.out, result.to_json_dict(), args.no_timestamp)
-    _write_manifest(args, args.out, "json")
-    print(f"wrote {args.out}")
+    _write_outputs(args, result.to_json_dict())
     return 0
 
 
@@ -189,11 +198,9 @@ def cmd_dmrg(args) -> int:
         Path(args.out).with_name(Path(args.out).stem + ".history.csv")
     )
     Path(history_path).write_text(history_csv(result))
-    _write_json(args.out, summary_dict(result), args.no_timestamp)
-    _write_manifest(args, args.out, "json")
     print(f"final energy: {result.final_energy!r}")
     print(f"iterations: {len(result.iterations)}")
-    print(f"wrote {args.out}")
+    _write_outputs(args, summary_dict(result))
     print(f"wrote {history_path}")
     return 0
 
@@ -203,15 +210,15 @@ def cmd_dmrg(args) -> int:
 
 def cmd_compare(args) -> int:
     model = _load_model_file(args.model)
-    ed = _exact_diag(model, enumerate_basis(model.n_levels, args.pairs), args)
+    # every check runs before the ED solve: the basis budget and --pairs
+    # here, then DmrgConfig's and the plan's as DMRG starts, and those
+    # cover ED's tol and seed
+    basis = enumerate_basis(model.n_levels, args.pairs)
     dm = _run_dmrg(model, args, args.m)
+    ed = _exact_diag(model, basis, args)
     e_ed = float(ed.energies[0])
     e_dm = float(dm.final_energy)
-    abs_err = abs(e_dm - e_ed)
-    rel_err = _rel_error(abs_err, e_ed)
-    # floor(-log10(rel)) capped: 16 significant figures is the practical
-    # agreement ceiling in double precision
-    sig_figs = 16 if rel_err == 0.0 else max(0, min(16, math.floor(-math.log10(rel_err))))
+    abs_err, rel_err, sig_figs = _agreement(e_dm, e_ed)
     report = {
         "e_ed": e_ed,
         "e_dmrg": e_dm,
@@ -223,16 +230,11 @@ def cmd_compare(args) -> int:
         "n_levels": model.n_levels,
         "total_pairs": args.pairs,
     }
-    if args.format == "json":
-        _write_json(args.out, report, args.no_timestamp)
-    else:
-        columns = ("m", "e_ed", "e_dmrg", "abs_error", "rel_error", "sig_figs")
-        Path(args.out).write_text(csv_text([{c: report[c] for c in columns}]))
-    _write_manifest(args, args.out, args.format)
     print(f"e_ed: {e_ed!r}")
     print(f"e_dmrg: {e_dm!r}")
     print(f"agreement: {sig_figs} significant figures")
-    print(f"wrote {args.out}")
+    columns = ("m", "e_ed", "e_dmrg", "abs_error", "rel_error", "sig_figs")
+    _write_outputs(args, report, [{c: report[c] for c in columns}])
     return 0
 
 
@@ -253,7 +255,7 @@ def cmd_sweep(args) -> int:
     e_best = results[-1].final_energy
     rows = []
     for result, m in zip(results, ms):
-        diff = abs(result.final_energy - e_best)
+        diff, rel, _ = _agreement(result.final_energy, e_best)
         worst = max(
             (max(r.trunc_weight_hole, r.trunc_weight_particle) for r in result.iterations),
             default=0.0,
@@ -267,18 +269,13 @@ def cmd_sweep(args) -> int:
                 "trunc_weight": worst,
                 "wall_seconds": result.wall_seconds,
                 "peak_memory_entries": result.memory_peak_entries,
-                "self_convergence": _rel_error(diff, e_best),
+                "self_convergence": rel,
                 "per_level_peak_entries": report["per_level_peak_entries"],
                 "within_bound": report["within_bound"],
             }
         )
-    if args.format == "json":
-        _write_json(args.out, {"rows": rows}, args.no_timestamp)
-    else:
-        Path(args.out).write_text(csv_text(rows))
-    _write_manifest(args, args.out, args.format)
     print(f"swept m = {ms}")
-    print(f"wrote {args.out}")
+    _write_outputs(args, {"rows": rows}, rows)
     return 0
 
 

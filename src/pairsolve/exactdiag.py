@@ -8,8 +8,10 @@ sector, and lowest_eigenpairs, the eigensolver entry point that
 iterative_ground and the DMRG superblock solve share.  Above the dense
 fallback size, the lowest k states are found by Davidson's method
 preconditioned with the operator's diagonal, in a subspace held to a
-fixed number of entries plus two vectors per extra state.  Dense
-eigenproblems go to numpy's eigh; scipy only builds the action.
+fixed number of entries plus two vectors per extra state.  Every dense
+matrix, the oracle's and lowest_eigenpairs' small operators', is built
+by applying the operator to one unit vector at a time and is solved by
+numpy's eigh; only the action's constructor needs more than numpy.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import PairBasis, check_integers, enumerate_basis
+from .basis import PairBasis, check_integers
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -133,7 +135,6 @@ class HamiltonianAction:
             raise DimensionMismatch(
                 f"model has {model.n_levels} levels, basis {basis.n_levels}"
             )
-        self.model = model
         self.basis = basis
         n, m, dim = basis.n_levels, basis.n_pairs, basis.dim
         width = min(m, n - m)
@@ -191,16 +192,13 @@ class HamiltonianAction:
         return y
 
     def dense_matrix(self) -> np.ndarray:
-        """Explicit symmetric matrix; intended for small sectors only.
+        """Explicit symmetric matrix, ``apply``'s columns with H's own
+        diagonal set; intended for small sectors only.
 
         Two states one hop apart share exactly one neighbour, so each
-        off-diagonal entry of ``C (K (x) 1) C^T`` is exactly one v1 value.
+        off-diagonal entry is exactly one v1 value, and the rest +0.0.
         """
-        import scipy.sparse
-
-        c = self._matrix
-        k = scipy.sparse.kron(self._k, scipy.sparse.identity(c.shape[1] // len(self._k)))
-        h = (c @ k @ c.T).toarray()
+        h = _columns(self.apply, self.basis.dim)
         np.fill_diagonal(h, self.diagonal)
         return h
 
@@ -242,6 +240,21 @@ def _residual(matvec, energies, vectors) -> float:
     return worst
 
 
+def _columns(matvec, n: int) -> np.ndarray:
+    """The n x n matrix of the operator ``matvec``, applied to each unit
+    vector in turn."""
+    h = np.empty((n, n))
+    e = np.zeros(n)
+    for i in range(n):
+        e[i] = 1.0
+        h[:, i] = matvec(e)
+        e[i] = 0.0
+    # a negative diagonal times 0 leaves -0.0, which can flip eigh's
+    # Householder signs
+    h += 0.0
+    return h
+
+
 def check_solver_args(tol: float, seed: int):
     """Reject a tolerance that is not finite and positive, or a seed that
     is not a nonnegative integer, with InvariantViolation."""
@@ -264,7 +277,7 @@ class Eigenpairs(NamedTuple):
     matvecs: int
 
 
-def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, diagonal=None):
+def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter=None):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size times min(k, 8), or with k > n - 2, the
@@ -274,8 +287,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     unit vectors (ties by index, found by a partition, not a full sort)
     plus a perturbation drawn from ``seed``; ``maxiter`` (default 10 n)
     caps its steps, one matvec each.  A k or ``maxiter`` that is not an
-    integer, a ``maxiter`` below k, or no ``diagonal`` raises
-    InvariantViolation.
+    integer, or a ``maxiter`` below k, raises InvariantViolation.
     """
     maxiter = 10 * n if maxiter is None else maxiter
     check_integers(k=k, maxiter=maxiter)
@@ -284,18 +296,8 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, v0=None, seed=0, maxiter=None, dia
     check_solver_args(tol, seed)
     if maxiter < k:
         raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
-    if diagonal is None:
-        raise InvariantViolation("the solve needs the operator's diagonal")
     if n <= _DENSE_FALLBACK_DIM * min(k, _DENSE_FALLBACK_PAIRS) or k > n - 2:
-        h = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            h[:, i] = matvec(e)
-            e[i] = 0.0
-        # a negative diagonal times 0 leaves -0.0, which can flip eigh's
-        # Householder signs; dense_matrix holds +0.0 there
-        h += 0.0
+        h = _columns(matvec, n)
         energies, vectors = np.linalg.eigh(h)
         energies, vectors = energies[:k], vectors[:, :k]
         residual = float(np.linalg.norm(h @ vectors - vectors * energies, axis=0).max())
@@ -480,15 +482,3 @@ def iterative_ground(
         ground_vector=pairs.vectors[:, 0].copy(),
         matvecs=matvecs,
     )
-
-
-__all__ = [
-    "DENSE_THRESHOLD",
-    "HamiltonianAction",
-    "PairBasis",
-    "SpectrumResult",
-    "dense_spectrum",
-    "enumerate_basis",
-    "iterative_ground",
-    "matrix_element",
-]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pairsolve
 from pairsolve import (
@@ -542,6 +544,120 @@ def test_compare_csv(toy_path, tmp_path):
     assert lines[0] == "m,e_ed,e_dmrg,abs_error,rel_error,sig_figs"
     assert len(lines) == 2
     assert lines[1].split(",")[0] == "4"
+
+
+# two degenerate levels: the exact ground energy is 0.0, DMRG's -1.1e-16
+ZERO_DOC = {
+    "type": "general",
+    "n_levels": 2,
+    "eps": [0.25, 0.25],
+    "v1": [[0.0, 0.5], [0.5, 0.0]],
+    "v2": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_at_a_zero_reference_reports_no_figures(tmp_path, capsys, fmt):
+    model = tmp_path / "zero.json"
+    model.write_text(json.dumps(ZERO_DOC))
+    out = tmp_path / f"cmp.{fmt}"
+    argv = ["compare", "--model", str(model), "--pairs", "1", "--m", "2", "--format", fmt]
+    assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+    if fmt == "json":
+        assert '"rel_error": Infinity' in out.read_text()
+        doc = json.loads(out.read_text())
+    else:
+        header, row = out.read_text().splitlines()
+        doc = dict(zip(header.split(","), row.split(",")))
+    assert float(doc["e_ed"]) == 0.0
+    assert float(doc["rel_error"]) == np.inf
+    assert int(doc["sig_figs"]) == 0
+    assert "agreement: 0 significant figures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code",
+    [
+        # reduced BCS of 16 levels: DmrgConfig refuses m = 1
+        ({"type": "reduced_bcs", "eps": list(range(1, 17)), "G": 0.3}, ["--m", "1"], 2),
+        # an odd number of levels: the DMRG plan refuses it
+        ({"type": "reduced_bcs", "eps": list(range(1, 16)), "G": 0.3}, ["--m", "8"], 4),
+    ],
+    ids=["m-1", "odd-n"],
+)
+def test_compare_checks_the_whole_run_before_the_ed_solve(tmp_path, monkeypatch, doc, argv, code):
+    def unreachable(*args, **kwargs):
+        pytest.fail("compare ran the ED solve before its checks")
+
+    monkeypatch.setattr(cli, "iterative_ground", unreachable)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["compare", "--model", str(model), "--pairs", "7", *argv, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def _cli_model(kind, n, seed):
+    if kind == "zero":
+        return ZERO_DOC
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(size=n).tolist()
+    if kind == "reduced_bcs":
+        return {"type": "reduced_bcs", "eps": eps, "G": float(rng.normal())}
+    v1, v2 = rng.normal(size=(2, n, n))
+    v1, v2 = v1 + v1.T, v2 + v2.T
+    np.fill_diagonal(v1, 0.0)
+    np.fill_diagonal(v2, 0.0)
+    return {"type": "general", "n_levels": n, "eps": eps, "v1": v1.tolist(), "v2": v2.tolist()}
+
+
+#: values of each drawn flag that a check refuses (a k of 200 is above dim)
+INVALID = {
+    "pairs": [-1, 9],
+    "m": [1, 0, -1],
+    "k": [0, -1, 200],
+    "tol": [0.0, -1e-10, np.nan, np.inf],
+    "seed": [-1, -2],
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["ed", "dmrg", "compare", "sweep"]),
+    kind=st.sampled_from(["general", "reduced_bcs"]),
+    n=st.integers(2, 7),
+    model_seed=st.integers(0, 3),
+    pairs=st.integers(0, 7),
+    m=st.integers(2, 8),
+    k=st.integers(1, 4),
+    tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+    seed=st.integers(0, 3),
+    bad=st.sampled_from([None, None, None, *INVALID]),
+    which=st.integers(0, 3),
+)
+@example(
+    command="compare", kind="zero", n=2, model_seed=0, pairs=1, m=2, k=1, tol=1e-10, seed=0,
+    bad=None, which=0,
+)
+def test_every_input_exits_with_a_documented_code(
+    tmp_path_factory, command, kind, n, model_seed, pairs, m, k, tol, seed, bad, which
+):
+    # odd n (no DMRG plan) and k above the sector size are drawn as well
+    flags = {"pairs": min(pairs, n), "m": m, "k": k, "tol": tol, "seed": seed}
+    if bad:
+        flags[bad] = INVALID[bad][which % len(INVALID[bad])]
+    where = tmp_path_factory.mktemp("cli")
+    model = where / "model.json"
+    model.write_text(json.dumps(_cli_model(kind, n, model_seed)))
+    argv = [command, "--model", str(model), "--out", str(where / "o"), "--no-timestamp"]
+    argv += [f"--{name}={flags[name]!r}" for name in ("pairs", "tol", "seed")]
+    argv += {
+        "ed": [f"--k={flags['k']}"],
+        "dmrg": [f"--m={flags['m']}"],
+        "compare": [f"--m={flags['m']}"],
+        "sweep": [f"--m-list={flags['m']},{flags['m'] + 2}"],
+    }[command]
+    assert main(argv) in (0, 2, 3, 4, 5)
 
 
 def test_sweep_csv(toy_path, tmp_path):

@@ -385,11 +385,11 @@ def test_iterative_argument_validation():
         with pytest.raises(InvariantViolation):
             iterative_ground(model, basis, tol=tol)
         with pytest.raises(InvariantViolation):
-            lowest_eigenpairs(lambda x: x, 100, tol=tol)
+            lowest_eigenpairs(lambda x: x, 100, tol=tol, diagonal=np.ones(100))
     with pytest.raises(InvariantViolation):
         iterative_ground(model, basis, seed=-1)
     with pytest.raises(InvariantViolation):
-        lowest_eigenpairs(lambda x: x, 100, tol=1e-10, seed=-1)
+        lowest_eigenpairs(lambda x: x, 100, tol=1e-10, seed=-1, diagonal=np.ones(100))
 
 
 @pytest.mark.parametrize("steps", [-1, 0])
@@ -413,7 +413,7 @@ def test_max_iterations_below_one_rejected_up_front(steps, k):
 def test_ground_state_solve_needs_the_diagonal():
     # every iterative solve runs Davidson, which the diagonal preconditions
     for k in (1, 2):
-        with pytest.raises(InvariantViolation, match="diagonal"):
+        with pytest.raises(TypeError, match="diagonal"):
             lowest_eigenpairs(lambda x: x, 100, k, tol=1e-10)
 
 
