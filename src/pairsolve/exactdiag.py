@@ -7,11 +7,11 @@ small sectors (the verification oracle), iterative_ground for any
 sector, and lowest_eigenpairs, the eigensolver entry point that
 iterative_ground and the DMRG superblock solve share.  Above the dense
 fallback size, the lowest k states are found by Davidson's method
-preconditioned with the operator's diagonal, in a subspace held to a
-fixed number of entries plus two vectors per extra state.  Every dense
-matrix, the oracle's and lowest_eigenpairs' small operators', is built
-by applying the operator to one unit vector at a time and is solved by
-numpy's eigh; only the action's constructor needs more than numpy.
+preconditioned with the operator's diagonal, in a subspace of 3(k + 1)
+vectors: six for every ground state.  Every dense matrix, the oracle's
+and lowest_eigenpairs' small operators', is built by applying the
+operator to one unit vector at a time and is solved by numpy's eigh;
+only the action's constructor needs more than numpy.
 """
 from __future__ import annotations
 
@@ -45,14 +45,6 @@ _DENSE_FALLBACK_DIM = 64
 #: further, and a dense build of n^2 entries outgrows Davidson's ~4kn.
 _DENSE_FALLBACK_PAIRS = 8
 
-#: Davidson subspace size at which a k = 1 solve restarts from its Ritz
-#: vector and the previous step's.
-_DAVIDSON_CAP = 24
-
-#: Entries per Davidson subspace (or its image) at which the cap shrinks,
-#: to no fewer than 8 vectors: 11 at the 184,756 states of N = 20, M = 10.
-_DAVIDSON_ENTRIES = 1 << 21
-
 #: A second Gram-Schmidt pass runs when the first leaves less than this
 #: share of the vector's norm (Daniel, Gragg, Kaufman and Stewart's test).
 _DGKS = 1 / math.sqrt(2)
@@ -70,6 +62,9 @@ _DAVIDSON_ROUNDOFF = 10
 
 #: States per step when the diagonal and slot table are built.
 _CHUNK = 1 << 16
+
+#: Entries of C^T x that HamiltonianAction.apply multiplies by K per step.
+_BLOCK = 1 << 15
 
 
 def matrix_element(model: PairingModel, s: int, t: int) -> float:
@@ -118,14 +113,14 @@ class HamiltonianAction:
     with one pair more.  C is CSR, with ``min(M, N-M)`` unit entries per
     state at columns ``level * d + colex rank of the neighbour`` (int32
     below 2^31), d that sector's size, and K = v1; ``apply`` forms K Z in
-    one held ``N x d`` buffer, so it is not reentrant.  A constant hop
-    v1 = g (reduced BCS) collapses the level axis to ``g (P^T P - min(M,
-    N-M))`` with P = sum_i b_i: C's columns are the d ranks alone, K =
-    [[g]], and ``diagonal`` stays H's own.  M = 0 and M = N keep the
-    diagonal only.  The slot table and the diagonal are built _CHUNK
-    states at a time from lowest-set-bit steps: the cleared levels give
-    the int32 colex ranks, the occupied ones the eps sum, and the v2
-    term is formed only when v2 is non-zero.
+    place in Z = C^T x, _BLOCK entries at a time, and holds no buffer
+    between calls.  A constant hop v1 = g (reduced BCS) collapses the
+    level axis to ``g (P^T P - min(M, N-M))`` with P = sum_i b_i: C's
+    columns are the d ranks alone, K = [[g]], and ``diagonal`` stays H's
+    own.  M = 0 and M = N keep the diagonal only.  The slot table and the
+    diagonal are built _CHUNK states at a time from lowest-set-bit steps:
+    the cleared levels give the int32 colex ranks, the occupied ones the
+    eps sum, and the v2 term is formed only when v2 is non-zero.
     """
 
     def __init__(self, model: PairingModel, basis: PairBasis):
@@ -144,7 +139,6 @@ class HamiltonianAction:
         collapsed = bool(np.all(hop == g))
         self._k = np.array([[g]]) if collapsed else model.v1
         self._shift = g * width if collapsed else 0.0
-        self._buffer = None if collapsed else np.empty((n, other))
         cols = len(self._k) * other
         index = np.int32 if max(cols, dim * width) < 2**31 else np.int64
         pascal = np.array(
@@ -187,7 +181,10 @@ class HamiltonianAction:
                 f"{self.basis.dim}"
             )
         z = (self._matrix.T @ x).reshape(len(self._k), -1)
-        y = self._matrix @ np.matmul(self._k, z, out=self._buffer).reshape(-1)
+        step = _BLOCK // len(self._k)
+        for a in range(0, z.shape[1], step):
+            z[:, a : a + step] = self._k @ z[:, a : a + step]
+        y = self._matrix @ z.reshape(-1)
         y += (self.diagonal - self._shift) * x
         return y
 
@@ -285,9 +282,10 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
     Otherwise _davidson runs on the operator's ``diagonal`` from the k
     rows of ``v0`` (for k = 1, a vector), or from the k lowest-diagonal
     unit vectors (ties by index, found by a partition, not a full sort)
-    plus a perturbation drawn from ``seed``; ``maxiter`` (default 10 n)
-    caps its steps, one matvec each.  A k or ``maxiter`` that is not an
-    integer, or a ``maxiter`` below k, raises InvariantViolation.
+    plus a perturbation drawn from ``seed``, in a subspace of 3(k + 1)
+    vectors (n at most); ``maxiter`` (default 10 n) caps its steps, one
+    matvec each.  A k or ``maxiter`` that is not an integer, or a
+    ``maxiter`` below k, raises InvariantViolation.
     """
     maxiter = 10 * n if maxiter is None else maxiter
     check_integers(k=k, maxiter=maxiter)
@@ -312,23 +310,24 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
     return Eigenpairs(energies, vectors, "iterative", residual, steps)
 
 
-def _davidson_cap(n: int) -> int:
-    """Davidson subspace size for operators on R^n: _DAVIDSON_CAP, or
-    fewer (not below 8) where that subspace exceeds _DAVIDSON_ENTRIES."""
-    return min(_DAVIDSON_CAP, max(8, _DAVIDSON_ENTRIES // n))
+def _davidson_window(n: int, k: int) -> int:
+    """Davidson subspace size for k pairs on R^n: 3(k + 1) vectors, the
+    2k a restart keeps and k + 3 steps before the next, or n."""
+    return min(n, 3 * (k + 1))
 
 
 def eigensolver_entries(n: int) -> int:
     """Entries a k = 1 lowest_eigenpairs solve holds beyond its operator:
     the dense matrix up to the fallback size, otherwise the arrays of
-    _davidson and those numpy made for it: the subspace interleaved with
-    its image, their projected matrix, r, t and the denominator (a
-    restart forms its new rows in r), the Ritz values, the coefficients
-    of this step and the last, their (2j, k) residual form, the last
-    restart's QR factor, and the k norms, bounds and unconverged indices."""
+    _davidson's six-vector window and those numpy made for it: the
+    subspace interleaved with its image, their projected matrix, r, t and
+    the denominator (a restart forms its new rows in r), the Ritz values,
+    the coefficients of this step and the last, their (2j, k) residual
+    form, the last restart's QR factor, and the k norms, bounds and
+    unconverged indices."""
     if n <= _DENSE_FALLBACK_DIM:
         return n * n
-    cap = _davidson_cap(n)
+    cap = _davidson_window(n, 1)
     return (2 * cap + 3) * n + cap**2 + 7 * cap + 3
 
 
@@ -347,15 +346,15 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     coefficients (-theta y, y) gives all k residuals; numpy's eigh solves
     the projected problem, of which a copy of the k lowest pairs is kept,
     and no Ritz vector is formed before the return.  A full subspace,
-    _davidson_cap(n) + 2(k - 1) vectors or n, restarts from its k Ritz
-    vectors and the previous step's k (Stathopoulos and McCombs' "+k"),
+    _davidson_window(n, k) vectors, restarts from its k Ritz vectors and
+    the previous step's k (Stathopoulos and McCombs' "+k"),
     orthonormalized by a QR of their coefficients.  A pair has converged
     at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the roundoff bound
     _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
     NoConvergence carries the k Ritz values and their worst residual.
     """
     k, n = start.shape
-    cap = min(n, _davidson_cap(n) + 2 * (k - 1))
+    cap = _davidson_window(n, k)
     keep = min(2 * k, cap - 1)
     pairs = np.empty((cap, 2, n))
     basis = pairs[:, 0]

@@ -165,9 +165,8 @@ def test_action_footprint_and_edge_sectors(n, m):
     # C holds min(M, N-M) unit entries per state, with int32 indices into
     # the smaller neighbouring sector: M - 1 pairs, or M + 1 above half
     # filling; (10, 8) must take the raising side, C(10, 9) = 10 << C(10, 7).
-    # A general hop adds the level axis and one (N, other) buffer for the
-    # product with v1; a constant one (reduced BCS, or any model of at
-    # most two levels) holds K = [[g]] and no buffer
+    # A general hop adds the level axis and K = v1; a constant one
+    # (reduced BCS, or any model of at most two levels) holds K = [[g]]
     rng = np.random.default_rng(n * 11 + m)
     # build_reduced_bcs's model, which needs two levels to build
     v1 = np.full((n, n), -0.7)
@@ -182,7 +181,7 @@ def test_action_footprint_and_edge_sectors(n, m):
         expected = [(f, (basis.dim,)), (i, (basis.dim, width)), (i, (basis.dim + 1,))]
         levels = n if model is not bcs and n > 2 else 1
         if levels > 1:
-            expected += [(f, (n, n)), (f, (n, other))]
+            expected += [(f, (n, n))]
         else:
             expected += [(f, (1, 1))]
         arrays = [v for v in vars(action).values() if isinstance(v, np.ndarray)]
@@ -207,6 +206,50 @@ def test_action_footprint_and_edge_sectors(n, m):
             action.apply(np.ones(basis.dim + 1))
         with pytest.raises(DimensionMismatch):
             action.apply(np.ones((basis.dim, 1)))
+
+
+@pytest.mark.parametrize("n, m", [(10, 4), (10, 7)])
+def test_apply_multiplies_by_k_in_column_blocks(monkeypatch, n, m):
+    # K multiplies C^T x _BLOCK entries, _BLOCK // len(K) columns, at a
+    # time, in place; at 7 columns the neighbouring sector (120 states at
+    # M = 4, 45 at M = 7) ends in a part block, and apply still gives the
+    # one-block dense matrix's product and the matrix of single elements
+    rng = np.random.default_rng(n + m)
+    v1 = np.full((n, n), -0.7)
+    np.fill_diagonal(v1, 0.0)
+    bcs = PairingModel(eps=rng.normal(size=n), v1=v1, v2=np.zeros((n, n)))
+    other = math.comb(n, min(m, n - m) - 1)
+    assert other % 7 and 7 < other < exactdiag._BLOCK // n
+    for model, levels in ((random_model(rng, n), n), (bcs, 1)):
+        basis = enumerate_basis(n, m)
+        action = HamiltonianAction(model, basis)
+        h = action.dense_matrix()
+        h_ref = dense_by_elements(model, basis)
+        x = rng.normal(size=basis.dim)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactdiag, "_BLOCK", 7 * levels)
+            y = action.apply(x)
+        assert np.allclose(y, h @ x, rtol=0.0, atol=1e-12)
+        assert np.allclose(y, h_ref @ x, rtol=0.0, atol=1e-12)
+
+
+def test_general_action_holds_less_than_one_level_by_sector_array():
+    # beyond C (unit data and int32 index arrays) and the diagonal, a
+    # general action keeps K = v1 and object headers; an (N, d) array of
+    # doubles for the product with K, d = C(14, 6) = 3003, would not fit
+    n, m = 14, 7
+    model = random_model(np.random.default_rng(4), n)
+    basis = enumerate_basis(n, m)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action = HamiltonianAction(model, basis)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (c,) = [v for v in vars(action).values() if scipy.sparse.issparse(v)]
+    known = c.data.nbytes + c.indices.nbytes + c.indptr.nbytes + action.diagonal.nbytes
+    assert 0 <= held - known < 8 * n * math.comb(n, m - 1)
 
 
 def occupancy_slots_and_diagonal(model, basis, collapsed):
@@ -436,10 +479,9 @@ def test_iterative_reports_non_convergence(monkeypatch):
 def test_eigensolver_entries_counts_what_davidson_holds(n):
     # the largest count of doubles that _davidson, or a numpy function it
     # called (eigh, qr, stack), has allocated and it still holds, read at
-    # each matvec through a restart; the last size is where the entry
-    # budget shrinks the subspace below its cap.  The operator, 3 - (shift
-    # left) - (shift right) on a ring, has a constant diagonal, so the
-    # correction does not speed the iteration.
+    # each matvec through a restart.  The operator, 3 - (shift left) -
+    # (shift right) on a ring, has a constant diagonal, so the correction
+    # does not speed the iteration.
     rng = np.random.default_rng(n)
     diagonal = np.full(n, 3.0)
     here = tracemalloc.Filter(
@@ -452,15 +494,14 @@ def test_eigensolver_entries_counts_what_davidson_holds(n):
         held.append(sum(t.size for t in snapshot.traces) // 8)
         return 3.0 * x - np.roll(x, 1) - np.roll(x, -1)
 
-    steps = exactdiag._davidson_cap(n) + 2
+    cap = exactdiag._davidson_window(n, 1)
+    steps = cap + 2
     tracemalloc.start(10)
     try:
         with pytest.raises(NoConvergence):
             exactdiag._davidson(matvec, diagonal, rng.normal(size=(1, n)), 1e-12, steps)
     finally:
         tracemalloc.stop()
-    cap = exactdiag._davidson_cap(n)
-    assert cap == (11 if n == 184_756 else 24)
     assert len(held) == steps
     # at least the subspace, its image and their projection, and no more
     # than the count the DMRG storage bound charges
@@ -563,11 +604,12 @@ def test_davidson_starts_at_the_lowest_diagonal_entries(monkeypatch, k):
     assert np.array_equal(np.argmax(starts[0], axis=1), want)
 
 
-@pytest.mark.parametrize("k, ceiling", [(2, 560), (4, 795), (8, 1209), (9, 1303), (20, 5130)])
+@pytest.mark.parametrize("k, ceiling", [(1, 449), (2, 560), (4, 795), (8, 1209), (9, 1303), (20, 5130)])
 def test_davidson_many_pairs_where_the_diagonal_says_little(k, ceiling):
     # the crossover test's 513-state operator Q diag(lambda) Q^T: each
-    # ceiling is the count of a restart from the k Ritz vectors alone,
-    # which at k = 20 ran out of its default 10 n steps
+    # ceiling is the count of a restart from the k Ritz vectors alone, in
+    # 24 + 2(k - 1) vectors, which at k = 20 ran out of its default 10 n
+    # steps
     n = 513
     rng = np.random.default_rng(n)
     diag = rng.permutation(n) - 10.0
@@ -589,8 +631,8 @@ def test_twelve_level_ground_energy_pinned():
 
 
 def test_davidson_ground_residual_is_certified_afresh():
-    # this 924-state sector takes more Davidson steps than the 24-vector
-    # subspace holds, so the solve restarts before it stops
+    # this 924-state sector takes more Davidson steps than the six-vector
+    # window holds, so the solve restarts before it stops
     model = random_model(np.random.default_rng(1), 12)
     basis = enumerate_basis(12, 6)
     res = iterative_ground(model, basis, tol=1e-12)
@@ -627,9 +669,9 @@ def test_davidson_recurrence_residual_survives_restarts():
         return diagonal * x - np.roll(x, 1) - np.roll(x, -1)
 
     pairs = lowest_eigenpairs(matvec, n, tol=1e-10, diagonal=diagonal)
-    # more than four restarts of the 24-vector subspace; restarting from
-    # the last step's Ritz vector too keeps the count under 200 (205
-    # from the Ritz vector alone)
+    # more steps than four restarts of even a 24-vector subspace take;
+    # restarting from the last step's Ritz vector too keeps the count
+    # under 200 (205 from the Ritz vector alone, in 24 vectors)
     assert 4 * 24 < pairs.matvecs < 200
     x, e = pairs.vectors[:, 0], pairs.energies[0]
     fresh = np.linalg.norm(matvec(x) - e * x)
