@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import math
 import re
+import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -1207,3 +1209,167 @@ def test_summary_dict_keys():
 def test_errors_share_a_base_class():
     for err in (OddN, InfeasibleTarget, EmptySector, NoConvergence, NotNormalized):
         assert issubclass(err, PairsolveError)
+
+
+def blas_threads():
+    """The thread count of every OpenBLAS in the process, through the
+    lookup the solvers use; numpy's wheels bundle scipy-openblas, so the
+    lookup must find one."""
+    libraries = exactdiag._openblas_libraries()
+    assert libraries, "no OpenBLAS found in the process"
+    return [get() for get, _ in libraries]
+
+
+@contextmanager
+def caller_threads(count):
+    """Every OpenBLAS at ``count`` threads for the block, then back."""
+    libraries = exactdiag._openblas_libraries()
+    before = [get() for get, _ in libraries]
+    for _, put in libraries:
+        put(count)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libraries, before):
+            put(n)
+
+
+def probed(monkeypatch, owner, name, read=blas_threads):
+    """Wrap ``owner.name`` to record read() at each call."""
+    seen, inner = [], getattr(owner, name)
+
+    def probe(*args, **kwargs):
+        seen.append(read())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, probe)
+    return seen
+
+
+def test_dmrg_superblock_matvecs_run_on_one_blas_thread(monkeypatch):
+    # the whole run, dense and Davidson superblock solves alike, runs at
+    # one thread and leaves the caller's count behind
+    seen = probed(monkeypatch, _Superblock, "matvec")
+    model = build_reduced_bcs(np.arange(1.0, 17.0), 0.4)
+    with caller_threads(2):
+        res = run_infinite(model, DmrgConfig(m=16, total_pairs=8))
+        assert blas_threads() == [2] * len(seen[0])
+    assert len(seen) >= sum(r.matvecs for r in res.iterations) > 0
+    assert all(counts == [1] * len(counts) for counts in seen)
+
+
+def test_iterative_ground_matvecs_run_on_one_blas_thread(monkeypatch):
+    # Davidson and the fresh certificate both run at one thread
+    seen = probed(monkeypatch, exactdiag.HamiltonianAction, "apply")
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    with caller_threads(2):
+        res = exactdiag.iterative_ground(model, enumerate_basis(10, 5))
+        assert blas_threads() == [2] * len(seen[0])
+    assert res.method == "iterative"
+    assert len(seen) == res.matvecs
+    assert all(counts == [1] * len(counts) for counts in seen)
+
+
+def test_dense_eigensolves_keep_the_callers_blas_threads(monkeypatch):
+    # a large dense eigh gains wall time from every thread the caller gave
+    # BLAS, so dense_spectrum and lowest_eigenpairs' dense branch outside
+    # a DMRG run keep them
+    seen = probed(monkeypatch, exactdiag.HamiltonianAction, "apply")
+    model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
+    with caller_threads(2):
+        dense_spectrum(model, enumerate_basis(8, 4))
+        res = exactdiag.iterative_ground(model, enumerate_basis(8, 4), k=70)
+    assert res.method == "dense"
+    assert seen and all(counts == [2] * len(counts) for counts in seen)
+
+
+def test_blas_threads_come_back_after_non_convergence(monkeypatch):
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(100, 100))
+    h += h.T
+    seen = []
+
+    def matvec(x):
+        seen.append(blas_threads())
+        return h @ x
+
+    with caller_threads(2):
+        with pytest.raises(NoConvergence):
+            exactdiag.lowest_eigenpairs(matvec, 100, tol=1e-14, diagonal=np.diag(h), maxiter=3)
+        assert blas_threads() == [2] * len(seen[0])
+    assert len(seen) == 3 and all(counts == [1] * len(counts) for counts in seen)
+
+
+def test_blas_threads_come_back_after_an_empty_sector(monkeypatch):
+    seen = []
+
+    def empty(*args):
+        seen.append(blas_threads())
+        raise EmptySector("no state holds the target")
+
+    monkeypatch.setattr(dmrg, "_solve_superblock", empty)
+    with caller_threads(2):
+        with pytest.raises(EmptySector, match="^iteration 1: "):
+            run_infinite(toy_model(), DmrgConfig(m=4, total_pairs=2))
+        assert blas_threads() == [2] * len(seen[0])
+    assert seen == [[1] * len(seen[0])]
+
+
+def test_concurrent_solves_leave_the_callers_blas_threads(monkeypatch):
+    # two threads share the depth count: the first to leave restores
+    # nothing while the other still solves, the last restores the count
+    seen = probed(monkeypatch, _Superblock, "matvec")
+    models = [build_reduced_bcs(np.arange(1.0, 17.0), g) for g in (0.3, 0.5)]
+    config = DmrgConfig(m=16, total_pairs=8)
+    serial = [run_infinite(model, config).final_energy for model in models]
+    seen.clear()
+    results = [None, None]
+
+    def solve(i):
+        results[i] = run_infinite(models[i], config).final_energy
+
+    with caller_threads(2):
+        workers = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert blas_threads() == [2] * len(seen[0])
+    assert results == serial
+    assert exactdiag._blas_depth == 0
+    assert all(counts == [1] * len(counts) for counts in seen)
+
+
+def test_solves_run_where_no_openblas_is_found(monkeypatch):
+    # another BLAS, or no /proc: the solves run at the caller's count
+    model = build_reduced_bcs(np.arange(1.0, 17.0), 0.4)
+    config = DmrgConfig(m=16, total_pairs=8)
+    small = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    found = run_infinite(model, config)
+    ground = exactdiag.iterative_ground(small, enumerate_basis(10, 5))
+    libraries = exactdiag._openblas_libraries()
+    with caller_threads(2):
+        counts = blas_threads()
+        monkeypatch.setattr(exactdiag, "_openblas_libraries", list)
+        seen = probed(monkeypatch, _Superblock, "matvec", lambda: [get() for get, _ in libraries])
+        res = run_infinite(model, config)
+        again = exactdiag.iterative_ground(small, enumerate_basis(10, 5))
+        monkeypatch.undo()
+        assert blas_threads() == counts
+    assert seen and all(c == counts for c in seen)
+    assert res.final_energy == pytest.approx(found.final_energy, rel=1e-12)
+    assert again.energies[0] == pytest.approx(ground.energies[0], rel=1e-12)
+
+
+def test_dmrg_energies_do_not_depend_on_the_callers_blas_threads():
+    # at m = 128 the last superblock is large enough for OpenBLAS to split
+    # its products over two threads, which summed them in another order:
+    # the last energy ended 3 ulp apart
+    model = build_reduced_bcs(np.arange(1.0, 17.0), 0.3)
+    config = DmrgConfig(m=128, total_pairs=8, superblock_tol=1e-12)
+    energies = []
+    for count in (1, 2):
+        with caller_threads(count):
+            res = run_infinite(model, config)
+        energies.append([float(r.e0).hex() for r in res.iterations] + [float(res.final_energy).hex()])
+    assert energies[0] == energies[1]
