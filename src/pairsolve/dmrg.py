@@ -337,13 +337,9 @@ class _Superblock:
                 f"no states with {target} pairs in a "
                 f"{self.dh}x{self.dp} superblock"
             )
-        self.target, self.secs = target, secs
-        self._rows = tuple(
-            {s: np.flatnonzero(b.sectors == s) for s in np.unique(b.sectors)}
-            for b in (hole, particle)
-        )
-        hs = [self._rows[0][s] for s in secs]
-        ps = [self._rows[1][target - s] for s in secs]
+        self.secs = secs
+        hs = [np.flatnonzero(hole.sectors == s) for s in secs]
+        ps = [np.flatnonzero(particle.sectors == target - s) for s in secs]
         eh, uh = zip(*(np.linalg.eigh(hole.h[np.ix_(h, h)]) for h in hs))
         ep, up = zip(*(np.linalg.eigh(particle.h[np.ix_(p, p)]) for p in ps))
         self.blocks = list(zip(hs, ps, uh, up))
@@ -430,25 +426,22 @@ class _Superblock:
 
     def schmidt(self, x: np.ndarray):
         """Candidate kept states of the hole and the particle block from
-        the Schmidt decomposition of the sector state x.
+        the Schmidt decomposition of the sector state x: per side, the
+        vectors as the columns of a dim x dim matrix and their weights.
 
-        One SVD per sector block b = U diag(sigma) V^T gives the block
-        vectors u U and v V, of weights sigma^2 (zero beyond the rank); a
-        block sector without a partner on the other side keeps its basis
-        states, at weight 0.  Each side is a list over its pair sectors,
-        ascending, of (rows, weights descending, vectors as columns).
+        One SVD per sector block b = U diag(sigma) V^T writes the block
+        vectors u U and v V on the sector's rows and columns, of weights
+        sigma^2 on its first rows (zero beyond the rank); a block sector
+        without a partner on the other side keeps its basis states, the
+        identity's columns, at weight 0.
         """
-        found = ({}, {})
-        for s, (h, p, u, v), b in zip(self.secs, self.blocks, self._split(x)):
+        sides = [(np.eye(d), np.zeros(d)) for d in (self.dh, self.dp)]
+        for (h, p, u, v), b in zip(self.blocks, self._split(x)):
             left, sigma, right = np.linalg.svd(b)
-            weights = np.zeros(max(b.shape))
-            weights[: len(sigma)] = sigma * sigma
-            found[0][s] = (h, weights[: len(h)], u @ left)
-            found[1][self.target - s] = (p, weights[: len(p)], v @ right.T)
-        return tuple(
-            [got.get(s) or (i, np.zeros(len(i)), np.eye(len(i))) for s, i in rows.items()]
-            for got, rows in zip(found, self._rows)
-        )
+            for (vectors, weights), rows, states in zip(sides, (h, p), (u @ left, v @ right.T)):
+                vectors[np.ix_(rows, rows)] = states
+                weights[rows[: len(sigma)]] = sigma * sigma
+        return sides
 
 
 def _solve_superblock(hole, particle, model, target, config, guess=None):
@@ -507,28 +500,17 @@ def _truncate_with_basis(block, states, m: int):
     coupling modes onto them; also return the kept-state column matrix W
     for guess embedding.
 
-    ``states`` lists, per pair sector of the block in ascending order, the
-    sector's rows of the block basis, its weights in descending order and
-    its states as columns on those rows, as ``_Superblock.schmidt`` gives
-    them.
+    ``states`` is the block's (vectors, weights) as ``_Superblock.schmidt``
+    gives them: the candidates as the columns of a dim x dim matrix, each
+    sector's in its own rows and columns, in descending weight.
     """
-    d = block.dim
-    rows, weights, vecs = zip(*states)
-    lams = np.concatenate(weights)
-    secs = block.sectors[np.concatenate(rows)]
+    vectors, weights = states
     # largest weight first; ties resolved by lower sector, then by the
     # order of the states within their sector
-    keep = np.lexsort((np.arange(d), secs, -lams))[:m]
-    # every candidate as a column on the block basis; one column gather
-    # then costs less than a scatter per sector
-    candidates = np.zeros((d, d))
-    start = 0
-    for r, v in zip(rows, vecs):
-        candidates[r, start : start + len(r)] = v
-        start += len(r)
-    w = candidates[:, keep]
+    keep = np.lexsort((np.arange(block.dim), block.sectors, -weights))[:m]
+    w = vectors[:, keep]
     k = w.shape[1]
-    weight = min(max(1.0 - sum(lams[keep].tolist()), 0.0), 1.0)
+    weight = min(max(1.0 - sum(weights[keep].tolist()), 0.0), 1.0)
     # explicit parts act on the core index, bare level j on bit j after it
     core, nb = w.reshape(block.core_dim, -1), block.n_bare
     modes = []
@@ -540,7 +522,7 @@ def _truncate_with_basis(block, states, m: int):
             site = w1.T @ w0 if kind == _RAISE else 2.0 * (w1.T @ w1)
             ops += np.multiply.outer(span[j - nb], site)
         modes.append(Modes(ops, span))
-    new = Block(block.levels, secs[keep], w.T @ block.h @ w, modes)
+    new = Block(block.levels, block.sectors[keep], w.T @ block.h @ w, modes)
     return new, weight, w
 
 
@@ -586,9 +568,9 @@ class DmrgResult:
     annihilation per raise mode, one per number mode); work_peak_entries
     covers solver scratch: the larger of the solve's (the superblock's
     sector blocks, matvec temporaries and eigensolver arrays) and the
-    truncation's (both blocks' Schmidt vectors and weights, each block's
-    candidate matrix and kept-state matrix, the dense ground state and its
-    part on the kept states).
+    truncation's (both blocks' dim x dim candidate matrices and weights
+    from ``_Superblock.schmidt``, their kept-state matrices, the dense
+    ground state and its part on the kept states).
     """
 
     iterations: tuple
@@ -609,7 +591,8 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     Both blocks start as the vacuum and each iteration grows them by one
     step of the plan, solves the superblock and keeps, in each block, the
     m states of largest Schmidt weight of its ground state
-    (``_Superblock.schmidt``; ties go to the lower sector, then to the
+    (``_Superblock.schmidt`` gives each side's candidates as one dim x dim
+    matrix and their weights; ties go to the lower sector, then to the
     order within the sector).  The ground state on the kept states starts
     the next solve.  The last iteration's
     superblock is the whole system in the physical sector, so its E0 is
@@ -646,7 +629,7 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
         particle, wp, w_part = _truncate_with_basis(particle, part_states, config.m)
         psi = op.embed(x)
         carried = w_hole.T @ psi @ w_part
-        held = _states_entries(hole_states) + _states_entries(part_states)
+        held = sum(a.size for a in hole_states + part_states)
         held += w_hole.size + w_part.size + psi.size + carried.size
         peak_work = max(peak_work, op.work_entries(), held)
         # hold neither the superblock nor the candidate states through the
@@ -690,13 +673,6 @@ def _entries(hole, particle):
         hole.stored_entries() + particle.stored_entries(),
         hole.per_level_entries() + particle.per_level_entries(),
     )
-
-
-def _states_entries(states) -> int:
-    """Entries of candidate kept states: their weights and vectors, and
-    the candidate matrix a truncation builds from them."""
-    d = sum(len(rows) for rows, _, _ in states)
-    return d * d + sum(weights.size + vecs.size for _, weights, vecs in states)
 
 
 def _embed_guess(carried, model, level_h, level_p, delta):

@@ -21,6 +21,12 @@ from .errors import DegenerateEta, InvariantViolation, SchemaError, SingularKern
 #: and below which sin(d_eta) counts as singular.
 ETA_TOL = 1e-10
 
+#: Largest accepted Hamiltonian scale B (see PairingModel).  The solvers
+#: square norms: Davidson's of H x and of the residual H x - theta x, at
+#: most 2 B for a unit x.  B <= sqrt(float max) / 1e4 ~ 1.3e150 keeps those
+#: squares 1e8 below overflow.
+SCALE_BOUND = math.sqrt(np.finfo(float).max) / 1e4
+
 
 class FamilyKind(enum.Enum):
     """The three exactly solvable coupling families."""
@@ -142,6 +148,9 @@ class PairingModel:
     ``v1`` couples pair hops between distinct levels, ``v2`` is the
     monopole density-density coupling.  Both are symmetric with zero
     diagonal; level sums in the Hamiltonian run over ordered pairs i != j.
+    The scale B = 2 sum_i |eps_i| + sum_{i!=j} |v1_ij| + 4 sum_{i!=j} |v2_ij|
+    is at least every row sum of |H|, so it bounds ||H|| in every sector;
+    a model with B above ``SCALE_BOUND`` is rejected (InvariantViolation).
     """
 
     eps: np.ndarray
@@ -174,6 +183,18 @@ class PairingModel:
             if len(nz):
                 raise InvariantViolation(
                     f"{name} has a nonzero diagonal entry at level {nz[0]}"
+                )
+        # the sums run over entries divided by the largest, so none
+        # overflows; the Python float product is inf, without a warning,
+        # where B does
+        terms = ((2.0, self.eps), (1.0, self.v1), (4.0, self.v2))
+        big = max(float(np.abs(a).max(initial=0.0)) for _, a in terms)
+        if big:
+            scale = float(sum(c * np.abs(a / big).sum() for c, a in terms)) * big
+            if scale > SCALE_BOUND:
+                raise InvariantViolation(
+                    f"Hamiltonian scale 2 sum|eps| + sum|v1| + 4 sum|v2| = {scale:.3g} "
+                    f"exceeds {SCALE_BOUND:.3g}, where the solvers' squared norms overflow"
                 )
 
     @property

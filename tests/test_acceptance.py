@@ -249,18 +249,13 @@ def test_criterion_09_structural_invariants_randomized():
         assert np.linalg.norm(op.embed(x)) == pytest.approx(1.0, abs=1e-10)
         partners = (set(op.secs), {tgt - s for s in op.secs})
         for block, states, paired in zip((hole, particle), op.schmidt(x), partners):
-            assert np.array_equal(
-                np.sort(np.concatenate([rows for rows, _, _ in states])), np.arange(block.dim)
-            )
-            weights = np.concatenate([lam for _, lam, _ in states])
+            vectors, weights = states
+            assert vectors.shape == (block.dim, block.dim) and weights.shape == (block.dim,)
             assert weights.min() >= 0.0
             assert weights.sum() == pytest.approx(1.0, abs=1e-10)
-            for rows, lam, vecs in states:
-                sector = block.sectors[rows[0]]
-                assert np.all(block.sectors[rows] == sector)
-                assert np.allclose(vecs.T @ vecs, np.eye(len(rows)), rtol=0, atol=1e-13)
-                if sector not in paired:
-                    assert not lam.any()
+            assert not vectors[block.sectors[:, None] != block.sectors[None, :]].any()
+            assert np.allclose(vectors.T @ vectors, np.eye(block.dim), rtol=0, atol=1e-13)
+            assert not weights[~np.isin(block.sectors, list(paired))].any()
             small, w, _ = _truncate_with_basis(block, states, m)
             assert 0.0 <= w <= 1.0
             assert small.dim <= m

@@ -597,6 +597,35 @@ def test_compare_checks_the_whole_run_before_the_ed_solve(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+#: Reduced BCS over eps = 1..10 whose Hamiltonian scale overflows the
+#: solvers' squared norms; each solved to a wrong energy, exit 0, unchecked.
+OVERFLOWING = {
+    "g-3e159": {"type": "reduced_bcs", "eps": list(range(1, 11)), "G": 3e159},
+    "g-1e308": {"type": "reduced_bcs", "eps": list(range(1, 11)), "G": 1e308},
+    "eps-1e308": {"type": "reduced_bcs", "eps": [1e308, *range(2, 11)], "G": 1.0},
+}
+
+
+@pytest.mark.parametrize("doc", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--input"], ["ed", "--pairs", "5", "--model"], ["dmrg", "--pairs", "5", "--m", "8", "--model"]],
+    ids=["build", "ed", "dmrg"],
+)
+def test_overflowing_models_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, doc, argv):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a solve started on a model over the scale bound")
+
+    monkeypatch.setattr(cli, "iterative_ground", unreachable)
+    monkeypatch.setattr(cli, "run_infinite", unreachable)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main([*argv, str(model), "--out", str(out)]) == 2
+    assert "error: Hamiltonian scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _cli_model(kind, n, seed):
     if kind == "zero":
         return ZERO_DOC

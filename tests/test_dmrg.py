@@ -28,6 +28,7 @@ from pairsolve import (
     dense_spectrum,
     enumerate_basis,
     history_csv,
+    iterative_ground,
     matrix_element,
     memory_report,
     reduced_density,
@@ -71,11 +72,8 @@ def exact_block(model, levels):
 
 def identity_states(block):
     """Every basis state of the block as a kept-state candidate, all of one
-    weight, per pair sector as ``_Superblock.schmidt`` lists them."""
-    return [
-        (rows, np.full(len(rows), 1.0 / block.dim), np.eye(len(rows)))
-        for rows in (np.flatnonzero(block.sectors == s) for s in np.unique(block.sectors))
-    ]
+    weight, as ``_Superblock.schmidt`` gives them: (vectors, weights)."""
+    return np.eye(block.dim), np.full(block.dim, 1.0 / block.dim)
 
 
 def explicit_block(model, levels):
@@ -85,16 +83,30 @@ def explicit_block(model, levels):
 
 
 def density_states(block, rho):
-    """Reference kept-state candidates from a density matrix: per pair
-    sector, ascending, the sector's rows, the eigenvalues of its block of
-    rho, descending, and the eigenvectors, as ``_Superblock.schmidt`` lists
-    its Schmidt weights and vectors."""
-    states = []
+    """Reference kept-state candidates from a density matrix, laid out as
+    ``_Superblock.schmidt`` gives its Schmidt vectors and weights: each
+    pair sector's block of rho has its eigenvectors, in descending order of
+    eigenvalue, on the sector's rows and columns of a dim x dim matrix, and
+    the eigenvalues on the same rows."""
+    vectors, weights = np.zeros((block.dim, block.dim)), np.zeros(block.dim)
     for s in np.unique(block.sectors):
         idx = np.flatnonzero(block.sectors == s)
         vals, vecs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
-        states.append((idx, vals[::-1], vecs[:, ::-1]))
-    return states
+        vectors[np.ix_(idx, idx)], weights[idx] = vecs[:, ::-1], vals[::-1]
+    return vectors, weights
+
+
+def check_candidates(block, states, paired):
+    """Schmidt candidates in matrix form: orthonormal columns, exact zeros
+    between different sectors, weights >= 0 summing to 1, and weight
+    exactly 0 in every block sector outside ``paired``."""
+    vectors, weights = states
+    assert vectors.shape == (block.dim, block.dim) and weights.shape == (block.dim,)
+    assert np.allclose(vectors.T @ vectors, np.eye(block.dim), rtol=0, atol=1e-13)
+    assert not vectors[block.sectors[:, None] != block.sectors[None, :]].any()
+    assert weights.min() >= 0.0
+    assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+    assert not weights[~np.isin(block.sectors, list(paired))].any()
 
 
 #: Coefficients whose part outside a block's modes exceeds this fraction of
@@ -535,7 +547,7 @@ def test_superblock_matches_dense_sector():
     e0, op, x, _ = dmrg._solve_superblock(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
     assert e0 == pytest.approx(TOY_GROUND, abs=1e-10)
     # the hole side's Schmidt weights are its density matrix's eigenvalues
-    lam = np.sort(np.concatenate([w for _, w, _ in op.schmidt(x)[0]]))[::-1]
+    lam = np.sort(op.schmidt(x)[0][1])[::-1]
     assert np.allclose(lam, TOY_RHO_EIGS, atol=1e-9)
 
 
@@ -864,14 +876,9 @@ def test_schmidt_states_match_density_matrix_eigenstates(n, seed, data):
     partners = (set(op.secs), {target - s for s in op.secs})
     for block, side, states, paired in zip(blocks, ("hole", "particle"), op.schmidt(x), partners):
         eigen = density_states(block, reduced_density(psi, side))
-        assert len(states) == len(eigen) == len(np.unique(block.sectors))
-        for (rows, weights, vecs), (rows_rho, lams, _) in zip(states, eigen):
-            assert np.array_equal(rows, rows_rho)
-            assert np.all(np.abs(weights - lams) <= 1e-14)
-            assert np.allclose(vecs.T @ vecs, np.eye(len(rows)), rtol=0, atol=1e-13)
-            if block.sectors[rows[0]] not in paired:
-                assert not weights.any()
-        ranked = np.sort(np.concatenate([w for _, w, _ in states]))[::-1]
+        check_candidates(block, states, paired)
+        assert np.all(np.abs(states[1] - eigen[1]) <= 1e-14)
+        ranked = np.sort(states[1])[::-1]
         for m in range(1, block.dim):
             gap = ranked[m - 1] - ranked[m]
             if gap <= 1e-8:
@@ -963,13 +970,18 @@ def test_truncation_ties_go_to_the_lower_sector():
     block = exact_block(toy_model(), [0, 1])
     assert block.sectors.tolist() == [0, 1, 1, 2]
     states = identity_states(block)
-    rows, weights, _ = states[1]
-    states[1] = (rows, weights, np.array([[0.6, -0.8], [0.8, 0.6]]))
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    states[0][1:3, 1:3] = rotation
     new, weight, _ = _truncate_with_basis(block, states, 3)
     assert new.sectors.tolist() == [0, 1, 1]
     assert weight == pytest.approx(0.25, abs=1e-15)
     w = _truncate_with_basis(block, states, 2)[2]
-    assert np.array_equal(w[rows, 1], states[1][2][:, 0])
+    assert np.array_equal(w[1:3, 1], rotation[:, 0])
+    # a sector's rows need not precede the next sector's
+    block = exact_block(toy_model(), [0, 1, 2])
+    assert block.sectors.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+    w = _truncate_with_basis(block, identity_states(block), 5)[2]
+    assert np.array_equal(w, np.eye(8)[:, [0, 1, 2, 4, 3]])
 
 
 def test_truncate_rank_one_density():
@@ -987,22 +999,34 @@ def test_truncate_rank_one_density():
 
 
 def test_truncate_shape_check():
-    # the Schmidt states cover each block's basis sector by sector, and
-    # truncation returns the kept-state matrix and the operators on it
+    # the Schmidt states cover each block's basis sector by sector, one
+    # dim x dim matrix and dim weights per side, and truncation returns the
+    # kept-state matrix and the operators on it
     model = random_model(np.random.default_rng(6), 6)
     hole, particle = exact_block(model, [2, 1, 0]), exact_block(model, [3, 4, 5])
     _, op, x, _ = dmrg._solve_superblock(hole, particle, model, 3, DmrgConfig(m=5, total_pairs=3))
-    for block, states in zip((hole, particle), op.schmidt(x)):
-        rows = [r for r, _, _ in states]
-        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(block.dim))
-        assert [block.sectors[r[0]] for r in rows] == np.unique(block.sectors).tolist()
-        for r, weights, vecs in states:
-            assert weights.shape == (len(r),) and vecs.shape == (len(r), len(r))
+    partners = (set(op.secs), {3 - s for s in op.secs})
+    for block, states, paired in zip((hole, particle), op.schmidt(x), partners):
+        check_candidates(block, states, paired)
         new, _, w = _truncate_with_basis(block, states, 5)
         assert w.shape == (block.dim, 5) and new.h.shape == (5, 5) and new.dim == 5
         for modes, kept in zip(block.modes, new.modes):
             assert kept.ops.shape == (len(modes.ops), 5, 5)
             assert np.array_equal(kept.span, modes.span)
+
+
+def test_a_1e100_scaled_model_solves():
+    # far below the scale bound: ED agrees with the dense spectrum, and an
+    # untruncated run with both
+    model = build_reduced_bcs(np.arange(1.0, 11.0) * 1e100, 0.5e100)
+    basis = enumerate_basis(10, 5)
+    exact = dense_spectrum(model, basis).energies[0]
+    ed = iterative_ground(model, basis, tol=1e-12).energies[0]
+    assert abs(ed - exact) <= 1e-12 * abs(exact)
+    result = run_infinite(model, DmrgConfig(m=32, total_pairs=5))
+    assert [(r.dim_hole, r.dim_particle) for r in result.iterations] == [(2**k, 2**k) for k in range(1, 6)]
+    for reference in (exact, ed):
+        assert abs(result.final_energy - reference) <= 1e-10 * abs(reference)
 
 
 def test_run_infinite_untruncated_equals_dense():

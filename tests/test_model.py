@@ -22,6 +22,7 @@ from pairsolve import (
     save_model,
     sin_kernel,
 )
+from pairsolve.model import SCALE_BOUND
 
 
 # Closed-form reference points, one per kernel branch.
@@ -233,6 +234,30 @@ def test_pairing_model_validation():
         PairingModel(eps=np.array([1.0, np.inf, 0.0]), v1=good, v2=good)
     with pytest.raises(InvariantViolation):
         PairingModel(eps=eps, v1=np.zeros((2, 2)), v2=good)
+
+
+def test_pairing_model_rejects_a_scale_whose_squares_overflow():
+    # B = 2 sum|eps| + sum|v1| + 4 sum|v2| is accepted up to SCALE_BOUND
+    # and refused just above it, for each term; B itself may overflow
+    eps = np.arange(1.0, 11.0)
+    for build in (
+        lambda: build_reduced_bcs(eps, 3e159),
+        lambda: build_reduced_bcs(eps, 1e308),
+        lambda: build_reduced_bcs(np.r_[1e308, eps[1:]], 1.0),
+    ):
+        with pytest.raises(InvariantViolation, match="Hamiltonian scale"):
+            build()
+    zero, pair = np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])
+    for c, term in ((2.0, "eps"), (1.0, "v1"), (4.0, "v2")):
+        # the term's sum is 2, so B = 2 c x
+        for x, ok in ((SCALE_BOUND / (2 * c), True), (np.nextafter(SCALE_BOUND / (2 * c), np.inf), False)):
+            arrays = {"eps": np.zeros(2), "v1": zero, "v2": zero}
+            arrays[term] = np.full(2, x) if term == "eps" else x * pair
+            if ok:
+                PairingModel(**arrays)
+            else:
+                with pytest.raises(InvariantViolation, match="Hamiltonian scale"):
+                    PairingModel(**arrays)
 
 
 def test_pairing_model_arrays_are_readonly():
