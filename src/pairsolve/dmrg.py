@@ -11,26 +11,23 @@ the two reduced density matrices, which are never formed.  A run starts
 from two vacuum blocks and follows a fixed plan of exactly N/2 steps,
 each naming the levels every side gains and the pair target.
 
-Memory layout: a block over the levels L meets the rest of the model only
-through v1 and v2 between L and the levels O outside it, so it stores
-coupling modes: per operator kind, an orthonormal basis U of the row space
-of that coupling and the operators sum_i U[i, r] o_i on its kept basis
-(annihilation is the transpose; reduced BCS keeps one raise mode and no
-number mode).  O only shrinks as a block grows, so growth writes the new
-modes from the core's and the new bare levels', and the superblock
-coupling is U_h^T v U_p.  No hot loop builds a per-level Kronecker product:
-growth sums along the coupling first, truncation projects through reshapes
-of the kept-state matrix, and the superblock matvec runs over the
-(s, t - s) pair-sector blocks of its target sector t, each in the
-eigenbasis of its two block Hamiltonians, whose diagonal preconditions
-the Davidson solve, with the coupling's R factored terms stacked per edge
-between sector blocks, so an edge costs two products whatever R is.  A
-grown block drops the core Hamiltonian.  Stored mode entries, counted in
-the 3-per-level convention as two per raise mode and one per number
-mode, stay within 3*m^2*N for every m >= 2; the two block Hamiltonians
-add at most (4m)^2 + m^2 entries (only one side grows by two levels in an
-iteration, and then the other does not grow).  Solver work arrays are
-accounted separately.
+Memory layout: every block is stored by pair sector.  A block over the
+levels L meets the rest of the model only through v1 and v2 between L and
+the levels O outside it, so it stores coupling modes: per operator kind,
+an orthonormal basis U of the row space of that coupling and the
+operators sum_i U[i, r] o_i on the sector edges they connect, a raise
+from s to s + 1 and a number on s (annihilation is the transpose;
+reduced BCS keeps one raise mode and no number mode).  A grown block is
+an explicit core and one bare level: its Hamiltonian is written sector by
+sector, and its modes keep their parts on the core's sector edges and one
+coefficient each for the bare level.  No step forms an operator on a
+whole block basis: superblock set-up and truncation project the modes
+through per-sector bases (``_sandwich``), and the superblock matvec runs
+over the (s, t - s) pair-sector blocks of its target sector t, each in
+the eigenbasis of its two block Hamiltonians, whose diagonal
+preconditions the Davidson solve, with the coupling's R factored terms
+stacked per edge between sector blocks, so an edge costs two products
+whatever R is.  ``memory_report`` bounds the entries stored.
 """
 from __future__ import annotations
 
@@ -53,8 +50,6 @@ from .basis import check_integers
 from .exactdiag import _one_blas_thread, check_solver_args, eigensolver_entries, lowest_eigenpairs
 from .model import PairingModel
 
-#: One level's pair creation and number operator, indexed by mode kind.
-_SITES = (np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 2.0]]))
 _RAISE, _NUMBER = 0, 1
 
 #: Singular values below this relative cutoff are dropped when a coupling
@@ -63,93 +58,77 @@ _SVD_CUT = 1e-13
 
 
 class Modes(NamedTuple):
-    """One operator kind's r modes: mode r is sum_i span[i, r] o_i over the
-    block's levels (orthonormal columns), and ``ops[r]`` is its part on the
-    explicit levels, on the core basis; the bare rows give the rest."""
+    """One operator kind's r modes: mode q is sum_i span[i, q] o_i over the
+    block's levels (orthonormal columns).  ``ops[s]`` stacks the modes'
+    explicit parts on the core's states from core sector s, (r, c_{s+1},
+    c_s) for a raise and (r, c_s, c_s) for a number; a bare level's part
+    is span[-1, q] times its own operator."""
 
-    ops: np.ndarray
+    ops: dict
     span: np.ndarray
 
 
-class Block:
-    """A set of levels: explicit leading levels and bare trailing levels.
+def _parts(sectors, n_bare):
+    """Per sector s of a block: the positions in s of its states with the
+    bare level empty and full, and the size of s."""
+    counts = np.bincount(sectors)
+    order = np.argsort(sectors, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    key = 2 * sectors + (np.arange(len(sectors)) % 2 if n_bare else 0)
+    ranks = rank[np.argsort(key, kind="stable")]
+    ends = [0, *np.cumsum(np.bincount(key, minlength=2 * len(counts))).tolist()]
+    pieces = [ranks[a:b] for a, b in zip(ends, ends[1:])]
+    dims = {s: d for s, d in enumerate(counts.tolist()) if d}
+    return {s: (pieces[2 * s], pieces[2 * s + 1]) for s in dims}, dims
 
-    The basis is core-major, index = a * 2**n_bare + s.  ``a`` runs over a
-    kept basis of dim ``core_dim``, on which the explicit part of every
-    coupling mode is stored.  ``s`` runs over the occupation patterns of
-    the trailing ``n_bare`` levels, the last level fastest; bare levels
-    store nothing.  ``modes`` holds the raise and the number ``Modes``.
-    Also stores pair-number sector labels and the block Hamiltonian on the
-    full basis.  Instances are treated as immutable.
+
+def _combine(y, ops):
+    """sum_q y[q, c] ops[q] for every column c of y, stacked."""
+    r, a, b = ops.shape
+    return (y.T @ ops.reshape(r, a * b)).reshape(-1, a, b)
+
+
+class Block:
+    """A set of levels, stored by pair sector.
+
+    The basis is core-major, index = 2a + n with a bare last level of
+    occupation n (``n_bare`` = 1), a without one; a runs over the core's
+    basis, which holds the modes' explicit parts.  ``sectors`` labels the
+    states by pair number in basis order; a sector keeps that order.
+    ``h[s]`` is the Hamiltonian on sector s, ``dims[s]`` its size, and
+    ``parts[s]`` the positions in s of the states with the bare level
+    empty and full, each in core order (``parts`` passes them with
+    ``dims`` where the caller has them).  ``modes`` holds the raise and the
+    number ``Modes``.  Instances are treated as immutable.
     """
 
-    def __init__(self, levels, sectors, h, modes, n_bare=0):
+    def __init__(self, levels, sectors, h, modes, n_bare=0, parts=None):
         self.levels = tuple(int(x) for x in levels)
         self.sectors = np.asarray(sectors, dtype=int)
-        self.h = np.asarray(h, dtype=float)
-        self.modes = tuple(
-            Modes(np.asarray(ops, dtype=float), np.asarray(span, dtype=float))
-            for ops, span in modes
-        )
+        self.h = h
+        self.modes = tuple(Modes(*m) for m in modes)
         self.n_bare = n_bare
-        if self.h.shape != (self.dim, self.dim) or self.dim % (1 << n_bare):
-            raise InvariantViolation(
-                f"block Hamiltonian shape {self.h.shape} does not match dim {self.dim}"
-            )
-        square = (self.core_dim, self.core_dim)
-        for ops, span in self.modes:
-            if span.shape != (len(self.levels), len(ops)) or ops.shape[1:] != square:
-                raise InvariantViolation("modes do not match the levels and the core dim")
+        self.parts, self.dims = parts or _parts(self.sectors, n_bare)
+        if sorted(h) != list(self.dims) or any(h[s].shape != (d, d) for s, d in self.dims.items()):
+            raise InvariantViolation("Hamiltonian blocks do not match the sectors")
+        if any(span.shape[0] != len(self.levels) for _, span in self.modes):
+            raise InvariantViolation("modes do not match the levels")
 
     @property
     def dim(self) -> int:
         return len(self.sectors)
 
-    @property
-    def core_dim(self) -> int:
-        return self.dim >> self.n_bare
-
-    def _mode_sum(self, kind: int, y) -> np.ndarray:
-        """sum_r y[r, c] (mode r of ``kind``) on the block basis, one
-        operator per column c of the r x R weights y, stacked (R, dim, dim)."""
-        ops, span = self.modes[kind]
-        out = np.einsum("rc,rij->cij", y, ops)
-        for c in span[len(span) - self.n_bare :] @ y:  # bare levels, in order
-            out = _kron_sum(out, np.multiply.outer(c, _SITES[kind]))
-        return out
-
     def stored_entries(self) -> int:
-        """Matrix entries held on the block basis: h and the modes' explicit
-        parts (the |L| x r mode coefficients are not counted)."""
-        return self.h.size + sum(m.ops.size for m in self.modes)
+        """Matrix entries held: the Hamiltonian's sector blocks and the
+        modes' explicit parts (the |L| x r mode coefficients are not
+        counted)."""
+        return sum(h.size for h in self.h.values()) + self.per_level_entries()
 
     def per_level_entries(self) -> int:
-        """Stored mode entries in the 3-per-level convention: creation and
-        annihilation per raise mode, one per number mode."""
-        raises, numbers = (m.ops.shape[0] for m in self.modes)
-        return (2 * raises + numbers) * self.core_dim * self.core_dim
-
-
-def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x (x) I + I (x) y, written straight onto the diagonals it touches;
-    leading axes of x and y stack operators pairwise."""
-    *stack, dx, _ = x.shape
-    dy = y.shape[-1]
-    out = np.zeros((*stack, dx, dy, dx, dy))
-    # einsum's diagonal views are writeable
-    np.einsum("...ajbj->...abj", out)[...] = x[..., None]
-    np.einsum("...iaib->...iab", out)[...] += y[..., None, :, :]
-    return out.reshape(*stack, dx * dy, dx * dy)
-
-
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.kron(x, y) for a small y: one strided product per entry of y,
-    where np.kron broadcasts over inner axes of y's size."""
-    (a, b), (c, d) = x.shape, y.shape
-    out = np.empty((a, c, b, d))
-    for i, j in np.ndindex(c, d):
-        np.multiply(x, y[i, j], out=out[:, i, :, j])
-    return out.reshape(a * c, b * d)
+        """Mode entries held: every raise edge once (annihilation is its
+        transpose) and every number block."""
+        return sum(op.size for ops, _ in self.modes for op in ops.values())
 
 
 def _svd(k: np.ndarray):
@@ -164,60 +143,105 @@ def _svd(k: np.ndarray):
 def _factor(a: Block, b: Block, coupling: np.ndarray, kind: int):
     """Singular values s of the r_a x r_b mode coupling and weights ya, yb
     with sum_ij coupling[i, j] o_i (x) o_j = sum_c X[c] (x) Y[c] over the
-    levels of a and b, X = a._mode_sum(kind, ya), Y = b._mode_sum(kind, yb)."""
+    levels of a and b, X[c] = sum_q ya[q, c] (mode q of a), Y likewise."""
     u, s, vt = _svd(a.modes[kind].span.T @ coupling @ b.modes[kind].span)
     w = np.sqrt(s)
     return s, u * w, vt.T * w
 
 
-def _join(a: Block, b: Block, model: PairingModel):
-    """Sector labels and Hamiltonian on A (x) B, B fastest.
-
-    The a-b coupling is summed over the modes first, so every factored
-    term costs one Kronecker product per operator kind.
-    """
-    h = _kron_sum(a.h, b.h)
-    ix = np.ix_(list(a.levels), list(b.levels))
-    for kind, coupling in ((_RAISE, model.v1[ix]), (_NUMBER, 2.0 * model.v2[ix])):
-        s, ya, yb = _factor(a, b, coupling, kind)
-        for x, y in zip(a._mode_sum(kind, ya), b._mode_sum(kind, yb)) if len(s) else ():
-            if kind == _NUMBER:
-                h += _kron(x, y)
-                continue
-            hop = _kron(x, y.T)
-            h += hop
-            h += hop.T
-    return np.add.outer(a.sectors, b.sectors).ravel(), h
+def _split(block: Block, bases):
+    """Each sector's basis (rows over its states) split by the bare level's occupation."""
+    return {s: (w[block.parts[s][0]], w[block.parts[s][1]]) for s, w in bases.items()}
 
 
-def _bare_block(levels, sectors, h) -> Block:
-    """An all-bare block whose modes are its levels' own operators."""
-    own = Modes(np.zeros((len(levels), 1, 1)), np.eye(len(levels)))
-    return Block(levels, sectors, h, (own, own), len(levels))
+def _sandwich(block: Block, kind: int, terms, dst: int, src: int, left, right) -> np.ndarray:
+    """left^T O_c right, stacked (R, kl, kr), for the operators O_c from
+    sector src to dst (src + 1 for a raise) whose explicit parts per core
+    edge and bare-level coefficients (None without a bare level) are
+    ``terms``; left and right are the sectors' bases as ``_split`` gives
+    them.  No operator is formed on a whole sector."""
+    ops, lam = terms
+    out = 0.0
+    if lam is not None:  # a raise keeps the core state and fills the level
+        site = left[1].T @ right[0] if kind == _RAISE else 2.0 * (left[1].T @ right[1])
+        out = np.multiply.outer(lam, site)
+    for n in range(1 if lam is None else 2):
+        op = ops.get(src - n)
+        if op is not None:
+            out = out + left[n].T @ op @ right[n]
+    return out
+
+
+def _project(block: Block, sectors, bases) -> Block:
+    """The block on new states: ``bases[s]`` holds sector s's as columns
+    over its old ones, ``sectors`` labels them in the new basis order; h
+    and every mode are projected sector by sector, edge by edge."""
+    h = {s: w.T @ block.h[s] @ w for s, w in bases.items()}
+    split = _split(block, bases)
+    modes = []
+    for kind, (ops, span) in enumerate(block.modes):
+        terms = ops, span[-1] if block.n_bare else None
+        edges = [(s + 1 - kind, s) for s in bases if s + 1 - kind in bases and span.shape[1]]
+        projected = {s: _sandwich(block, kind, terms, d, s, split[d], split[s]) for d, s in edges}
+        modes.append((projected, span))
+    return Block(block.levels, sectors, h, modes)
 
 
 def vacuum_block() -> Block:
     """The empty block: one state, zero pairs, no levels."""
-    return _bare_block((), [0], [[0.0]])
+    none = ({}, np.zeros((0, 0)))
+    return Block((), [0], {0: np.zeros((1, 1))}, (none, none))
 
 
-def _grow_modes(modes: Modes, coupling: np.ndarray) -> Modes:
-    """Modes after new bare levels join: the left singular vectors of the
-    coupling (old levels' rows first) to the levels still outside, over
-    the old modes and the new levels' own operators."""
-    ops, span = modes
-    n, r = span.shape
-    p = _svd(np.vstack([span.T @ coupling[:n], coupling[n:]]))[0]
-    return Modes(np.einsum("rs,rij->sij", p[:r], ops), np.vstack([span @ p[:r], p[r:]]))
+def _grow(core: Block, level: int, model: PairingModel):
+    """Block arguments of ``core``, its own bare level made explicit, with
+    ``level`` added bare.  Sector s holds the core's sector s with the
+    level empty and its sector s - 1 with the level full; the level adds
+    2 eps on the second, its density coupling through the core's number
+    modes, and the pair hop between the two through its raise modes.  The
+    new modes are the left singular vectors of the coupling to the levels
+    still outside, over the core's modes and the level's own operator."""
+    if core.n_bare:
+        core = _project(core, core.sectors, {s: np.eye(d) for s, d in core.dims.items()})
+    inside = core.levels + (level,)
+    (raises, r_span), (numbers, n_span) = core.modes
+    hop = r_span.T @ model.v1[list(core.levels), level]
+    density = 2.0 * n_span.T @ (2.0 * model.v2[list(core.levels), level])
+    sectors = np.add.outer(core.sectors, [0, 1]).ravel()
+    hops = {s: _combine(hop[:, None], op)[0] for s, op in raises.items()}
+    densities = {s: _combine(density[:, None], op)[0] for s, op in numbers.items()}
+    h, parts = {}, _parts(sectors, 1)
+    for s, (empty, full) in parts[0].items():
+        # written with the empty-level states first, then put in order
+        a, d = len(empty), len(empty) + len(full)
+        out = np.zeros((d, d))
+        if a:
+            out[:a, :a] = core.h[s]
+        if a < d:
+            out[a:, a:] = core.h[s - 1] + densities[s - 1] if s - 1 in densities else core.h[s - 1]
+            out.flat[a * (d + 1) :: d + 1] += 2.0 * model.eps[level]
+            if s - 1 in hops:  # the core takes the pair the level gives up
+                out[:a, a:] = hops[s - 1]
+                out[a:, :a] = hops[s - 1].T
+        order = np.argsort(np.concatenate([empty, full]))
+        h[s] = out[order][:, order]
+    ix = np.ix_(inside, np.setdiff1d(np.arange(model.n_levels), inside))
+    modes = []
+    for (ops, span), coupling in zip(core.modes, (model.v1[ix], 2.0 * model.v2[ix])):
+        r = span.shape[1]
+        p = _svd(np.vstack([span.T @ coupling[:-1], coupling[-1:]]))[0]
+        new = {s: _combine(p[:r], op) for s, op in ops.items()} if p.shape[1] else {}
+        modes.append((new, np.vstack([span @ p[:r], p[r:]])))
+    return inside, sectors, h, modes, 1, parts
 
 
 class GrownBlock(Block):
-    """``core`` enlarged by bare ``levels``.
+    """``core`` enlarged by ``levels``, joined one at a time.
 
-    The new levels are first combined exactly, one at a time, and then
-    joined to the core.  The grown block's modes factor its coupling to the
-    levels of ``model`` outside it; their explicit parts are combinations of
-    the core's, and the core's Hamiltonian is not kept.
+    Each level joins as the bare level of an explicit block (``_grow``).
+    The grown block's modes factor its coupling to the levels of ``model``
+    outside it; their explicit parts are combinations of the core's, and
+    the core's Hamiltonian is not kept.
     """
 
     def __init__(self, core: Block, levels, model: PairingModel):
@@ -226,20 +250,10 @@ class GrownBlock(Block):
             raise InvariantViolation(
                 f"levels {list(levels)} repeat a level or one of {list(core.levels)}"
             )
-        add = vacuum_block()
-        for j, level in enumerate(levels):
-            site_h = np.diag([0.0, 2.0 * float(model.eps[level])])
-            site = _bare_block((level,), [0, 1], site_h)
-            add = _bare_block(levels[: j + 1], *_join(add, site, model))
-        inside = core.levels + levels
-        ix = np.ix_(inside, np.setdiff1d(np.arange(model.n_levels), inside))
-        couplings = (model.v1[ix], 2.0 * model.v2[ix])
-        super().__init__(
-            inside,
-            *_join(core, add, model),
-            [_grow_modes(m, v) for m, v in zip(core.modes, couplings)],
-            core.n_bare + len(levels),
-        )
+        args = core.levels, core.sectors, core.h, core.modes, core.n_bare, (core.parts, core.dims)
+        for i, level in enumerate(levels):
+            args = _grow(Block(*args) if i else core, level, model)
+        super().__init__(*args)
 
 
 @dataclass(frozen=True)
@@ -315,68 +329,69 @@ class _Superblock:
 
     The target sector t splits into blocks (s, t - s) of hole sector s and
     particle sector t - s, one for each s present on both sides, each in
-    the eigenbasis of its two block-Hamiltonian sub-blocks, where
+    the eigenbasis of its two block-Hamiltonian sector blocks, where
     ``hh_s (x) 1 + 1 (x) hp_s`` is the elementwise product with
     ``D_s = e_h[:, None] + e_p[None, :]``.  A coupling is factored by SVD
     of the r_h x r_p mode coupling into R terms A_r (x) C_r (the singular
     values are ``raise_terms`` and ``number_terms``).  Each sector edge
     (dst, src), number terms on (s, s) and pair hops between s and s + 1,
-    stacks its R rotated terms: A as (h_dst R) x h_src, C as (R p_src) x
-    p_dst, so that A @ x viewed as h_dst x (R p_src), times C, is
-    sum_r A_r x C_r, and a hop's reverse reads both transposed.  The vector
-    holds the blocks in order of s, each row-major; ``embed`` and
-    ``restrict`` rotate to and from the dh x dp product space, ``diagonal``
-    is D, and ``schmidt`` decomposes a state into the two blocks' states.
+    stacks its R terms, projected on the two eigenbases by ``_sandwich``:
+    A as (h_dst R) x h_src, C as (R p_src) x p_dst, so that A @ x viewed
+    as h_dst x (R p_src), times C, is sum_r A_r x C_r, and a hop's reverse
+    reads both transposed.  The vector holds the blocks in order of s,
+    each row-major; ``restrict`` rotates a state given by its entries into
+    it, ``diagonal`` is D, and ``schmidt`` splits a state into both
+    blocks' states.
     """
 
     def __init__(self, hole, particle, model: PairingModel, target: int):
         self.dh, self.dp = hole.dim, particle.dim
-        secs = [s for s in np.unique(hole.sectors) if target - s in particle.sectors]
+        secs = [s for s in hole.dims if target - s in particle.dims]
         if not secs:
-            raise EmptySector(
-                f"no states with {target} pairs in a "
-                f"{self.dh}x{self.dp} superblock"
-            )
-        self.secs = secs
-        hs = [np.flatnonzero(hole.sectors == s) for s in secs]
-        ps = [np.flatnonzero(particle.sectors == target - s) for s in secs]
-        eh, uh = zip(*(np.linalg.eigh(hole.h[np.ix_(h, h)]) for h in hs))
-        ep, up = zip(*(np.linalg.eigh(particle.h[np.ix_(p, p)]) for p in ps))
-        self.blocks = list(zip(hs, ps, uh, up))
+            raise EmptySector(f"no states with {target} pairs in a {self.dh}x{self.dp} superblock")
+        self.secs, self.target, partners = secs, target, [target - s for s in secs]
+        self._unpaired = [{s: d for s, d in block.dims.items() if s not in keys}
+                          for block, keys in ((hole, secs), (particle, partners))]
+        eh, uh = zip(*(np.linalg.eigh(hole.h[s]) for s in secs))
+        ep, up = zip(*(np.linalg.eigh(particle.h[s]) for s in partners))
+        self.blocks = list(zip(uh, up))
         self.diagonal = np.concatenate([np.add.outer(a, b).ravel() for a, b in zip(eh, ep)])
-        ends = np.cumsum([len(h) * len(p) for h, p in zip(hs, ps)])
-        self._slices = [
-            (slice(end - len(h) * len(p), end), (len(h), len(p)))
-            for end, h, p in zip(ends, hs, ps)
-        ]
+        dims = [(len(a), len(b)) for a, b in zip(eh, ep)]
+        ends = np.cumsum([h * p for h, p in dims])
+        self._slices = [(slice(end - h * p, end), (h, p)) for end, (h, p) in zip(ends, dims)]
         # a hop is applied both ways, each at the cost R h_dst p_src
         # (h_src + p_dst) of the direction it is stored in
-        cost = lambda d, c: len(hs[d]) * len(ps[c]) * (len(hs[c]) + len(ps[d]))
+        cost = lambda d, c: dims[d][0] * dims[c][1] * (dims[c][0] + dims[d][1])
         hops = [min((k + 1, k), (k, k + 1), key=lambda edge: cost(*edge))
                 for k in range(len(secs) - 1) if secs[k + 1] == secs[k] + 1]
         ix = np.ix_(list(hole.levels), list(particle.levels))
-        self.raise_terms, self.hops = self._stack(hole, particle, model.v1[ix], _RAISE, hops)
-        self.number_terms, self.numbers = self._stack(
-            hole, particle, 2.0 * model.v2[ix], _NUMBER, [(k, k) for k in range(len(secs))]
-        )
+        sides = [(block, keys, _split(block, dict(zip(keys, u))))
+                 for block, keys, u in ((hole, secs, uh), (particle, partners, up))]
+        self.raise_terms, self.hops = self._stack(sides, model.v1[ix], _RAISE, hops)
+        numbers = [(k, k) for k in range(len(secs))]
+        self.number_terms, self.numbers = self._stack(sides, 2.0 * model.v2[ix], _NUMBER, numbers)
 
-    def _stack(self, hole, particle, coupling, kind, edges):
+    def _stack(self, sides, coupling, kind, edges):
         """Singular values of the factored coupling and its terms stacked per
-        edge as (dst, src, A, C), formed one term (per side) at a time."""
-        s, ya, yb = _factor(hole, particle, coupling, kind)
-        edges = edges if len(s) else []
-        hs, ps, uh, up = zip(*self.blocks)
-        cuts = [(np.ix_(hs[d], hs[c]), np.ix_(ps[c], ps[d])) for d, c in edges]
-        a = [np.empty((len(hs[d]), len(s), len(hs[c]))) for d, c in edges]
-        e = [np.empty((len(s), len(ps[c]), len(ps[d]))) for d, c in edges]
-        for r in range(len(s)):
-            x, y = hole._mode_sum(kind, ya[:, [r]])[0], particle._mode_sum(kind, yb[:, [r]])[0]
-            for (d, c), (ih, ip), ar, er in zip(edges, cuts, a, e):
-                xe, ye = (x, y) if d >= c else (x.T, y.T)  # the hop lowering the hole
-                ar[:, r] = uh[d].T @ xe[ih] @ uh[c]
-                er[r] = up[c].T @ ye[ip] @ up[d]
-        return s, [(d, c, ar.reshape(-1, len(hs[c])), er.reshape(-1, len(ps[d])))
-                   for (d, c), ar, er in zip(edges, a, e)]
+        edge as (dst, src, A, C); ``sides`` holds each block with its
+        sectors in the target sector's order and their split eigenbases."""
+        s, *ys = _factor(sides[0][0], sides[1][0], coupling, kind)
+        terms = [({k: _combine(y, op) for k, op in block.modes[kind].ops.items()},
+                  block.modes[kind].span[-1] @ y if block.n_bare else None)
+                 for (block, _, _), y in zip(sides, ys)]
+
+        def stack(side, dst, src):
+            block, secs, bases = sides[side]
+            d, c = sorted((secs[dst], secs[src]), reverse=True)  # raise from c to d
+            out = _sandwich(block, kind, terms[side], d, c, bases[d], bases[c])
+            return out if secs[dst] >= secs[src] else out.transpose(0, 2, 1)
+
+        stacks = []
+        for d, c in edges if len(s) else ():
+            a, e = stack(0, d, c), stack(1, c, d)
+            a, e = a.transpose(1, 0, 2).reshape(-1, a.shape[2]), e.reshape(-1, e.shape[2])
+            stacks.append((d, c, a, e))
+        return s, stacks
 
     @property
     def sector_dim(self) -> int:
@@ -390,7 +405,7 @@ class _Superblock:
         (``eigensolver_entries``)."""
         shapes = [shape for _, shape in self._slices]
         held = self.diagonal.size + self.raise_terms.size + self.number_terms.size
-        held += sum(u.size + v.size for _, _, u, v in self.blocks)
+        held += sum(u.size + v.size for u, v in self.blocks)
         temp = 0
         for d, c, a, e in self.numbers + self.hops:
             held += a.size + e.size
@@ -412,59 +427,49 @@ class _Superblock:
             ys[c] += a.T @ (xs[d] @ e.T).reshape(len(a), -1)
         return y
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        psi = np.zeros((self.dh, self.dp))
-        for (h, p, u, v), b in zip(self.blocks, self._split(x)):
-            psi[np.ix_(h, p)] = u @ b @ v.T
-        return psi
-
-    def restrict(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.reshape(psi, (self.dh, self.dp))
-        return np.concatenate(
-            [(u.T @ psi[np.ix_(h, p)] @ v).ravel() for h, p, u, v in self.blocks]
-        )
+    def restrict(self, entries) -> np.ndarray:
+        """The sector vector of a state given by its entries: (hole sector,
+        rows, particle sector, rows, values), rows counted within each
+        sector; entries outside the target sector are dropped."""
+        x = np.zeros(self.sector_dim)
+        xs, index = self._split(x), {s: k for k, s in enumerate(self.secs)}
+        for sh, rh, sp, rp, values in entries:
+            k = index.get(sh)
+            if k is not None and sp == self.target - sh:
+                u, v = self.blocks[k]
+                xs[k] += (u[rh].T * values) @ v[rp]
+        return x
 
     def schmidt(self, x: np.ndarray):
-        """Candidate kept states of the hole and the particle block from
-        the Schmidt decomposition of the sector state x: per side, the
-        vectors as the columns of a dim x dim matrix and their weights.
-
-        One SVD per sector block b = U diag(sigma) V^T writes the block
-        vectors u U and v V on the sector's rows and columns, of weights
-        sigma^2 on its first rows (zero beyond the rank); a block sector
-        without a partner on the other side keeps its basis states, the
-        identity's columns, at weight 0.
-        """
-        sides = [(np.eye(d), np.zeros(d)) for d in (self.dh, self.dp)]
-        for (h, p, u, v), b in zip(self.blocks, self._split(x)):
-            left, sigma, right = np.linalg.svd(b)
-            for (vectors, weights), rows, states in zip(sides, (h, p), (u @ left, v @ right.T)):
-                vectors[np.ix_(rows, rows)] = states
-                weights[rows[: len(sigma)]] = sigma * sigma
-        return sides
+        """Kept-state candidates of both blocks from the Schmidt
+        decomposition of the sector state x: per side, each block sector's
+        vectors as columns and their weights; and the singular values of
+        each paired hole sector.  One SVD per sector block b = U diag(sigma)
+        V^T gives u U and v V, of weights sigma^2 (zero beyond the rank); a
+        sector without a partner keeps its basis states at weight 0."""
+        sides = [{s: (np.eye(d), np.zeros(d)) for s, d in dims.items()} for dims in self._unpaired]
+        sigma = {}
+        for s, (u, v), b in zip(self.secs, self.blocks, self._split(x)):
+            left, sigma[s], right = np.linalg.svd(b)
+            for side, key, vectors in zip(sides, (s, self.target - s), (u @ left, v @ right.T)):
+                weights = np.zeros(len(vectors))
+                weights[: len(sigma[s])] = sigma[s] * sigma[s]
+                side[key] = (vectors, weights)
+        return (*sides, sigma)
 
 
 def _solve_superblock(hole, particle, model, target, config, guess=None):
     """Ground state of the superblock: E0, the superblock operator, the
     state x in its sector coordinates, and the solver record: matvecs,
     residual ||H psi - E0 psi||, the overlap |<v0|psi>| of the normalized
-    guess (0 without one) and the eigensolver's seconds."""
+    guess (0 without one) and the eigensolver's seconds.  ``guess`` gives
+    a start state by its entries, as ``_Superblock.restrict`` takes them."""
     op = _Superblock(hole, particle, model, target)
-    v0 = None
-    if guess is not None and guess.shape == (op.dh, op.dp):
-        g = op.restrict(guess)
-        norm = np.linalg.norm(g)
-        if norm > 1e-8:
-            v0 = g / norm
+    g = None if guess is None else op.restrict(guess)
+    v0 = g / np.linalg.norm(g) if g is not None and np.linalg.norm(g) > 1e-8 else None
     start = time.perf_counter()
-    pairs = lowest_eigenpairs(
-        op.matvec,
-        op.sector_dim,
-        tol=config.superblock_tol,
-        v0=v0,
-        seed=config.seed,
-        diagonal=op.diagonal,
-    )
+    pairs = lowest_eigenpairs(op.matvec, op.sector_dim, tol=config.superblock_tol, v0=v0,
+                              seed=config.seed, diagonal=op.diagonal)
     x = pairs.vectors[:, 0]
     record = {
         "residual": pairs.residual,
@@ -496,34 +501,23 @@ def reduced_density(psi: np.ndarray, side: str) -> np.ndarray:
 
 
 def _truncate_with_basis(block, states, m: int):
-    """Keep the m candidate states of largest weight and project h and the
-    coupling modes onto them; also return the kept-state column matrix W
-    for guess embedding.
-
-    ``states`` is the block's (vectors, weights) as ``_Superblock.schmidt``
-    gives them: the candidates as the columns of a dim x dim matrix, each
-    sector's in its own rows and columns, in descending weight.
-    """
-    vectors, weights = states
+    """Keep the m candidate states of largest weight, in the order they
+    are chosen, and project h and the modes onto them sector by sector;
+    also return the discarded weight and the kept vectors per sector.
+    ``states`` maps every block sector to its candidates as
+    ``_Superblock.schmidt`` gives them: the vectors as the columns of a
+    matrix over the sector's states, in descending weight, and weights."""
+    secs = sorted(states)
+    weights = np.concatenate([states[s][1] for s in secs])
+    sector = np.repeat(secs, [len(states[s][1]) for s in secs])
+    order = np.concatenate([np.arange(len(states[s][1])) for s in secs])
     # largest weight first; ties resolved by lower sector, then by the
     # order of the states within their sector
-    keep = np.lexsort((np.arange(block.dim), block.sectors, -weights))[:m]
-    w = vectors[:, keep]
-    k = w.shape[1]
+    keep = np.lexsort((order, sector, -weights))[:m]
     weight = min(max(1.0 - sum(weights[keep].tolist()), 0.0), 1.0)
-    # explicit parts act on the core index, bare level j on bit j after it
-    core, nb = w.reshape(block.core_dim, -1), block.n_bare
-    modes = []
-    for kind, (ops, span) in enumerate(block.modes):
-        ops = np.array([w.T @ (a @ core).reshape(w.shape) for a in ops]).reshape(-1, k, k)
-        for j in range(nb if len(ops) else 0):
-            w0, w1 = np.moveaxis(w.reshape(block.core_dim << j, 2, -1, k), 1, 0)
-            w0, w1 = w0.reshape(-1, k), w1.reshape(-1, k)
-            site = w1.T @ w0 if kind == _RAISE else 2.0 * (w1.T @ w1)
-            ops += np.multiply.outer(span[j - nb], site)
-        modes.append(Modes(ops, span))
-    new = Block(block.levels, block.sectors[keep], w.T @ block.h @ w, modes)
-    return new, weight, w
+    chosen, rank = sector[keep], order[keep]
+    kept = {s: states[s][0][:, rank[chosen == s]] for s in np.unique(chosen).tolist()}
+    return _project(block, chosen, kept), weight, kept
 
 
 #: Seconds of an iteration's phases: block growth, superblock set-up (its
@@ -562,15 +556,14 @@ class DmrgResult:
     """Per-iteration records plus the final energy and memory accounting.
 
     memory_peak_entries counts matrix entries actually stored in the two
-    blocks at the worst moment: block Hamiltonians plus the explicit parts
-    of the coupling modes (bare levels store none).  per_level_peak_entries
-    counts the modes alone in the 3-per-level convention (creation plus
-    annihilation per raise mode, one per number mode); work_peak_entries
+    blocks at the worst moment: the block Hamiltonians' sector blocks plus
+    the modes' explicit parts on their sector edges (a bare level stores
+    none).  per_level_peak_entries counts the mode entries alone, as held
+    (each raise edge once, each number block once); work_peak_entries
     covers solver scratch: the larger of the solve's (the superblock's
     sector blocks, matvec temporaries and eigensolver arrays) and the
-    truncation's (both blocks' dim x dim candidate matrices and weights
-    from ``_Superblock.schmidt``, their kept-state matrices, the dense
-    ground state and its part on the kept states).
+    truncation's (both blocks' per-sector candidate vectors and weights
+    from ``_Superblock.schmidt``, the kept ones and the singular values).
     """
 
     iterations: tuple
@@ -591,21 +584,20 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
     Both blocks start as the vacuum and each iteration grows them by one
     step of the plan, solves the superblock and keeps, in each block, the
     m states of largest Schmidt weight of its ground state
-    (``_Superblock.schmidt`` gives each side's candidates as one dim x dim
-    matrix and their weights; ties go to the lower sector, then to the
-    order within the sector).  The ground state on the kept states starts
-    the next solve.  The last iteration's
-    superblock is the whole system in the physical sector, so its E0 is
-    the reported final energy.  The whole run, dense superblock solves
-    included, keeps every OpenBLAS on one thread and gives each its count
-    back on return or exception: its products are too small to gain wall
-    time from a second thread, which only doubled their CPU time.
+    (ties go to the lower sector, then to the order within the sector).
+    The kept states are Schmidt vectors, so the ground state on them is
+    the singular values on the pairs both sides keep; it starts the next
+    solve.  The last iteration's superblock is the whole system
+    in the physical sector, so its E0 is the reported final energy.  The
+    whole run, dense superblock solves included, keeps every OpenBLAS on
+    one thread and gives each its count back on return or exception: its
+    products are too small to gain wall time from a second thread, which
+    only doubled their CPU time.
     """
     start = time.perf_counter()
     hole = particle = vacuum_block()
-    records = []
+    records, carried = [], None
     peak_stored = peak_conventional = peak_work = 0
-    carried = None
     for k, (new_h, new_p, target) in enumerate(_plan(model, config), 1):
         t0 = time.perf_counter()
         if new_h:
@@ -617,24 +609,27 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
         guess = None
         if carried is not None and len(new_h) == len(new_p) == 1:
             delta = target - records[-1].target_pairs
-            guess = _embed_guess(carried, model, new_h[0], new_p[0], delta)
+            guess = _embed_guess(carried, model, hole, particle, delta)
         try:
             e0, op, x, solve = _solve_superblock(hole, particle, model, target, config, guess)
         except (NoConvergence, EmptySector) as exc:
             exc.args = (f"iteration {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         t2 = time.perf_counter()
-        hole_states, part_states = op.schmidt(x)
+        hole_states, part_states, sigma = op.schmidt(x)
         hole, wh, w_hole = _truncate_with_basis(hole, hole_states, config.m)
         particle, wp, w_part = _truncate_with_basis(particle, part_states, config.m)
-        psi = op.embed(x)
-        carried = w_hole.T @ psi @ w_part
-        held = sum(a.size for a in hole_states + part_states)
-        held += w_hole.size + w_part.size + psi.size + carried.size
-        peak_work = max(peak_work, op.work_entries(), held)
+        carried = {
+            (s, target - s): sv[: min(w_hole[s].shape[1], w_part[target - s].shape[1])]
+            for s, sv in sigma.items()
+            if s in w_hole and target - s in w_part
+        }
+        arrays = [*w_hole.values(), *w_part.values(), *sigma.values()]
+        arrays += [a for side in (hole_states, part_states) for pair in side.values() for a in pair]
+        peak_work = max(peak_work, op.work_entries(), sum(a.size for a in arrays))
         # hold neither the superblock nor the candidate states through the
         # next growth and solve
-        del op, x, hole_states, part_states, w_hole, w_part, psi
+        del op, x, hole_states, part_states, w_hole, w_part, arrays
         for stored, per_level in (grown, _entries(hole, particle)):
             peak_stored = max(peak_stored, stored)
             peak_conventional = max(peak_conventional, per_level)
@@ -669,32 +664,35 @@ def run_infinite(model: PairingModel, config: DmrgConfig) -> DmrgResult:
 
 def _entries(hole, particle):
     """Stored and per-level matrix entries of the two blocks."""
-    return (
-        hole.stored_entries() + particle.stored_entries(),
-        hole.per_level_entries() + particle.per_level_entries(),
-    )
+    blocks = (hole, particle)
+    return sum(b.stored_entries() for b in blocks), sum(b.per_level_entries() for b in blocks)
 
 
-def _embed_guess(carried, model, level_h, level_p, delta):
+def _embed_guess(carried, model, hole, particle, delta):
     """Carry the previous ground state into the next superblock.
 
-    The state on the kept states, ``carried``, is re-expanded over the
-    fresh hole level ``level_h`` and particle level ``level_p`` with their
-    exact local ground state at the pair count that supplies the target
-    increment: both empty (delta 0), both occupied (2), or one pair in the
-    ground state of ``[[2 eps_h, v1_hp], [v1_hp, 2 eps_p]]`` over (hole
-    occupied, particle occupied) (1).
+    ``carried`` maps each pair (hole sector, particle sector) of the kept
+    blocks to the state's singular values there, one per pair of kept
+    Schmidt states of equal rank.  It is re-expanded over the fresh bare
+    levels of ``hole`` and ``particle`` with their exact local ground
+    state at the pair count that supplies the target increment: both
+    empty (delta 0), both occupied (2), or one pair in the ground state of
+    ``[[2 eps_h, v1_hp], [v1_hp, 2 eps_p]]`` over (hole occupied, particle
+    occupied) (1).  Returns the entries ``_Superblock.restrict`` takes.
     """
+    level_h, level_p = hole.levels[-1], particle.levels[-1]
     chi = np.zeros((2, 2))
-    if delta == 0:
-        chi[0, 0] = 1.0
-    elif delta == 1:
+    chi[delta // 2, delta // 2] = delta != 1  # both levels empty (0) or full (2)
+    if delta == 1:
         eps, hop = model.eps, model.v1[level_h, level_p]
         local = [[2.0 * eps[level_h], hop], [hop, 2.0 * eps[level_p]]]
         chi[1, 0], chi[0, 1] = np.linalg.eigh(local)[1][:, 0]
-    else:
-        chi[1, 1] = 1.0
-    return _kron(carried, chi)
+    entries = []
+    for (sh, sp), sv in carried.items():
+        for nh, nq in np.argwhere(chi).tolist():
+            rows = hole.parts[sh + nh][nh][: len(sv)], particle.parts[sp + nq][nq][: len(sv)]
+            entries.append((sh + nh, rows[0], sp + nq, rows[1], chi[nh, nq] * sv))
+    return entries
 
 
 def csv_text(rows) -> str:
@@ -719,11 +717,8 @@ def without_timings(result: DmrgResult) -> DmrgResult:
     """The result with its wall time and every phase time set to 0, so that
     outputs written from it repeat byte for byte."""
     zero = dict.fromkeys(PHASES, 0.0)
-    return replace(
-        result,
-        wall_seconds=0.0,
-        iterations=tuple(replace(r, **zero) for r in result.iterations),
-    )
+    iterations = tuple(replace(r, **zero) for r in result.iterations)
+    return replace(result, wall_seconds=0.0, iterations=iterations)
 
 
 def summary_dict(result: DmrgResult) -> dict:
@@ -747,11 +742,14 @@ def summary_dict(result: DmrgResult) -> dict:
 def memory_report(result: DmrgResult) -> dict:
     """Memory accounting against the 3*m^2*N block-operator budget.
 
-    Raises InvariantViolation if per-level operator storage exceeded the
+    Raises InvariantViolation if the held mode entries exceeded the
     budget, or if total stored entries exceeded the budget plus the
     block-Hamiltonian allowance (4m)^2 + m^2: one block grown by two levels
     from at most m kept states next to one at most m.  Both hold for every
-    m >= 2.
+    m >= 2: a block of L levels has at most min(L, N - L) modes per kind,
+    each holding at most m^2/4 (raise) or m^2 (number) entries on an
+    m-state core, or m^2 and 2m^2 on the core of 2m states that a growth
+    by two levels keeps, so each block holds at most 3 m^2 min(L, N - L).
     """
     bound = 3 * result.m**2 * result.n_levels
     overhead = (4 * result.m) ** 2 + result.m**2

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import PairBasis, check_integers
+from .basis import DEFAULT_MAX_DIM, PairBasis, check_integers
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -364,7 +364,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
     check_solver_args(tol, seed)
     if maxiter < k:
         raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
-    if n <= _DENSE_FALLBACK_DIM * min(k, _DENSE_FALLBACK_PAIRS) or k > n - 2:
+    if _dense(n, k):
         h = _columns(matvec, n)
         energies, vectors = np.linalg.eigh(h)
         energies, vectors = energies[:k], vectors[:, :k]
@@ -380,25 +380,31 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
     return Eigenpairs(energies, vectors, "iterative", residual, steps)
 
 
+def _dense(n: int, k: int) -> bool:
+    """Whether lowest_eigenpairs solves k pairs on R^n densely."""
+    return n <= _DENSE_FALLBACK_DIM * min(k, _DENSE_FALLBACK_PAIRS) or k > n - 2
+
+
 def _davidson_window(n: int, k: int) -> int:
     """Davidson subspace size for k pairs on R^n: 3(k + 1) vectors, the
     2k a restart keeps and k + 3 steps before the next, or n."""
     return min(n, 3 * (k + 1))
 
 
-def eigensolver_entries(n: int) -> int:
-    """Entries a k = 1 lowest_eigenpairs solve holds beyond its operator:
-    the dense matrix up to the fallback size, otherwise the arrays of
-    _davidson's six-vector window and those numpy made for it: the
-    subspace interleaved with its image, their projected matrix, r, t and
-    the denominator (a restart forms its new rows in r), the Ritz values,
-    the coefficients of this step and the last, their (2j, k) residual
-    form, the last restart's QR factor, and the k norms, bounds and
-    unconverged indices."""
-    if n <= _DENSE_FALLBACK_DIM:
+def eigensolver_entries(n: int, k: int = 1) -> int:
+    """Entries a lowest_eigenpairs solve of k pairs holds beyond its
+    operator: the dense matrix where it solves densely, otherwise the
+    arrays of _davidson's 3(k + 1)-vector window and those numpy made for
+    it: the subspace interleaved with its image, their projected matrix,
+    the k residuals r, t and the denominator (a restart forms its new rows
+    in r), the start block beyond the first row, the Ritz values, the
+    coefficients of this step and the last, their (2j, k) residual form,
+    the last restart's QR factor, and the k norms, bounds and unconverged
+    indices."""
+    if _dense(n, k):
         return n * n
-    cap = _davidson_window(n, 1)
-    return (2 * cap + 3) * n + cap**2 + 7 * cap + 3
+    cap = _davidson_window(n, k)
+    return (2 * cap + 2 * k + 1) * n + cap**2 + (5 * k + 2) * cap + 3 * k
 
 
 @_one_blas_thread()
@@ -420,8 +426,10 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     _davidson_window(n, k) vectors, restarts from its k Ritz vectors and
     the previous step's k (Stathopoulos and McCombs' "+k"),
     orthonormalized by a QR of their coefficients.  A pair has converged
-    at ||r|| <= tol * max(|theta|, eps^(2/3)), or at the roundoff bound
-    _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger.
+    at ||r|| <= tol * max(|theta|, eps^(2/3) max ||H t||), or at the
+    roundoff bound _DAVIDSON_ROUNDOFF * eps * max ||H t||, if larger: both
+    scale with the largest ||H t|| the solve formed, so a model of any
+    energy scale stops at the same relative accuracy.
     NoConvergence carries the k Ritz values and their worst residual.
     Every OpenBLAS runs on one thread throughout (_one_blas_thread).
     """
@@ -436,7 +444,7 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
     work = np.empty(n)
     t = start[0].copy()
     eps = np.finfo(float).eps
-    scale, largest = eps ** (2.0 / 3.0), 0.0
+    scale, largest = eps ** (2.0 / 3.0), 0.0  # both relative to the largest ||H t||
     j = 0
     for step in range(1, maxiter + 1):
         before = np.linalg.norm(t)
@@ -460,7 +468,7 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
         norms = np.sqrt(np.einsum("ij,ij->i", r, r))
         worst = float(norms.max())
         floor = _DAVIDSON_ROUNDOFF * eps * largest
-        bound = np.maximum(tol * np.maximum(np.abs(theta), scale), floor)
+        bound = np.maximum(tol * np.maximum(np.abs(theta), scale * largest), floor)
         (unconverged,) = np.nonzero(norms > bound)
         if not unconverged.size:
             return theta, (y.T @ basis[:j]).T, worst, step
@@ -529,8 +537,18 @@ def iterative_ground(
     k = dim), are solved densely, by numpy's eigh at the caller's BLAS
     thread count.  Davidson and its certificate run every OpenBLAS on one
     thread: at N = 20, M = 10 on 2 cores that took about 11% more wall
-    time and 44% less CPU time than two threads.
+    time and 44% less CPU time than two threads.  A solve that would hold
+    more entries (``eigensolver_entries``) than a k = 1 solve on a sector
+    of DEFAULT_MAX_DIM states raises TooLarge before anything is built.
     """
+    check_integers(k=k)
+    limit = eigensolver_entries(DEFAULT_MAX_DIM)
+    if eigensolver_entries(basis.dim, k) > limit:
+        raise TooLarge(
+            f"{k} eigenpairs of a {basis.dim}-state sector would hold "
+            f"{eigensolver_entries(basis.dim, k)} entries, over the {limit} of one "
+            f"pair at {DEFAULT_MAX_DIM} states"
+        )
     action = HamiltonianAction(model, basis)
     pairs = lowest_eigenpairs(
         action.apply,

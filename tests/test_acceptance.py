@@ -246,16 +246,19 @@ def test_criterion_09_structural_invariants_randomized():
         assert tgt == target_pairs(1, n, pairs)
         hole, particle = (GrownBlock(vacuum_block(), new, model) for new in (new_h, new_p))
         _, op, x, _ = _solve_superblock(hole, particle, model, tgt, config)
-        assert np.linalg.norm(op.embed(x)) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
         partners = (set(op.secs), {tgt - s for s in op.secs})
         for block, states, paired in zip((hole, particle), op.schmidt(x), partners):
-            vectors, weights = states
-            assert vectors.shape == (block.dim, block.dim) and weights.shape == (block.dim,)
-            assert weights.min() >= 0.0
-            assert weights.sum() == pytest.approx(1.0, abs=1e-10)
-            assert not vectors[block.sectors[:, None] != block.sectors[None, :]].any()
-            assert np.allclose(vectors.T @ vectors, np.eye(block.dim), rtol=0, atol=1e-13)
-            assert not weights[~np.isin(block.sectors, list(paired))].any()
+            # per sector: a square matrix over the sector's own states
+            assert sorted(states) == sorted(block.dims)
+            for s, (vectors, weights) in states.items():
+                d = block.dims[s]
+                assert vectors.shape == (d, d) and weights.shape == (d,)
+                assert weights.min() >= 0.0
+                assert np.allclose(vectors.T @ vectors, np.eye(d), rtol=0, atol=1e-13)
+                assert s in paired or not weights.any()
+            total = sum(weights.sum() for _, weights in states.values())
+            assert total == pytest.approx(1.0, abs=1e-10)
             small, w, _ = _truncate_with_basis(block, states, m)
             assert 0.0 <= w <= 1.0
             assert small.dim <= m

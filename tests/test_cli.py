@@ -265,6 +265,37 @@ def test_ed_over_budget_exits_3(tmp_path, capsys):
     )
 
 
+class SolverCalled(Exception):
+    """Raised by a solver patched to fail if it is called."""
+
+
+def test_ed_k_over_the_storage_of_one_pair_at_the_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # --k 300 at N = 20, M = 10 would hold a 903-vector Davidson window,
+    # 4.5e8 entries, over the 75,000,081 of one pair on a 5e6-state
+    # sector: refused before the action is built or any solver runs
+    def called(*args, **kwargs):
+        raise SolverCalled
+
+    action = exactdiag.HamiltonianAction
+    for name in ("HamiltonianAction", "lowest_eigenpairs", "dense_spectrum"):
+        monkeypatch.setattr(exactdiag, name, called)
+    model = tmp_path / "twenty.json"
+    model.write_text(json.dumps({"type": "reduced_bcs", "eps": list(range(1, 21)), "G": 0.5}))
+    out = str(tmp_path / "x.json")
+    code = main(["ed", "--model", str(model), "--pairs", "10", "--k", "300", "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 300 eigenpairs of a 184756-state sector would hold ")
+    assert err.endswith(" entries, over the 75000081 of one pair at 5000000 states\n")
+    # every pair of the 3432-state sector is a dense solve of 3432^2
+    # entries, within the bound: it reaches the solver
+    model.write_text(json.dumps({"type": "reduced_bcs", "eps": list(range(1, 15)), "G": 0.5}))
+    monkeypatch.setattr(exactdiag, "HamiltonianAction", action)
+    with pytest.raises(SolverCalled):
+        main(["ed", "--model", str(model), "--pairs", "7", "--k", "3432", "--out", out])
+    assert exactdiag.eigensolver_entries(3432, 3432) == 3432**2
+
+
 BAD_FLAGS = [
     (["ed", "--k", "0"], "--k must be in 1..70, got 0"),
     (["ed", "--k", "-2"], "--k must be in 1..70, got -2"),
@@ -712,8 +743,9 @@ def test_sweep_csv(toy_path, tmp_path):
     assert last[0] == "4"
     assert float(last[2]) == 0.0  # the richest run is its own reference
     assert float(last[6]) == 0.0
-    # the toy's two-level blocks keep one 4 x 4 raise mode each
-    assert last[7:] == ["64", "true"]
+    # the toy's two-level blocks (sectors of 1, 2 and 1 states) keep one
+    # raise mode each, held on its edges 0 -> 1 and 1 -> 2: 2 + 2 entries
+    assert last[7:] == ["8", "true"]
 
 
 def test_sweep_json_format(toy_path, tmp_path):

@@ -49,6 +49,8 @@ from pairsolve.dmrg import (
 from pairsolve.errors import PairsolveError
 from test_ed_differential import integrable_model
 
+import dense_blocks
+
 
 def toy_model():
     """Four levels eps = 1..4, constant hop -1."""
@@ -72,8 +74,73 @@ def exact_block(model, levels):
 
 def identity_states(block):
     """Every basis state of the block as a kept-state candidate, all of one
-    weight, as ``_Superblock.schmidt`` gives them: (vectors, weights)."""
-    return np.eye(block.dim), np.full(block.dim, 1.0 / block.dim)
+    weight, as ``_Superblock.schmidt`` gives them: per sector, (vectors,
+    weights)."""
+    return {s: (np.eye(d), np.full(d, 1.0 / block.dim)) for s, d in block.dims.items()}
+
+
+def rows(block, s):
+    """Basis indices of the block's sector s, in order."""
+    return np.flatnonzero(block.sectors == s)
+
+
+def dense_h(block):
+    """The block Hamiltonian on the whole basis, from its sector blocks."""
+    h = np.zeros((block.dim, block.dim))
+    for s, hs in block.h.items():
+        h[np.ix_(rows(block, s), rows(block, s))] = hs
+    return h
+
+
+def dense_modes(block, kind):
+    """Every mode of ``kind`` on the whole basis, (r, dim, dim): the
+    explicit parts from their sector edges on the core, then the bare
+    level's part."""
+    ops, span = block.modes[kind]
+    core = block.sectors[:: 1 << block.n_bare]
+    out = np.zeros((span.shape[1], len(core), len(core)))
+    for s, op in ops.items():
+        out[:, np.flatnonzero(core == s + 1 - kind)[:, None], np.flatnonzero(core == s)] = op
+    if block.n_bare:
+        site = np.array([[0.0, 0.0], [1.0, 0.0]]) if kind == 0 else np.diag([0.0, 2.0])
+        eye = np.eye(len(core))
+        out = np.array([np.kron(o, np.eye(2)) + c * np.kron(eye, site) for o, c in zip(out, span[-1])])
+        out = out.reshape(span.shape[1], block.dim, block.dim)
+    return out
+
+
+def dense_w(block, new, kept):
+    """The kept states of a truncation as the columns of a (block.dim,
+    new.dim) matrix, in the new block's basis order."""
+    w = np.zeros((block.dim, new.dim))
+    for s, ws in kept.items():
+        w[np.ix_(rows(block, s), rows(new, s))] = ws
+    return w
+
+
+def embed(op, hole, particle, x):
+    """The (hole.dim, particle.dim) superblock state of sector vector x."""
+    psi = np.zeros((hole.dim, particle.dim))
+    for s, (u, v), b in zip(op.secs, op.blocks, op._split(x)):
+        psi[np.ix_(rows(hole, s), rows(particle, op.target - s))] = u @ b @ v.T
+    return psi
+
+
+def entries(op, hole, particle, psi):
+    """A dense superblock state as the entries ``_Superblock.restrict``
+    takes: every entry of its target-sector blocks."""
+    psi = np.reshape(psi, (hole.dim, particle.dim))
+    out = []
+    for s in op.secs:
+        a, b = rows(hole, s), rows(particle, op.target - s)
+        i, j = np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij")
+        out.append((s, i.ravel(), op.target - s, j.ravel(), psi[np.ix_(a, b)].ravel()))
+    return out
+
+
+def restrict(op, hole, particle, psi):
+    """The sector vector of a dense superblock state."""
+    return op.restrict(entries(op, hole, particle, psi))
 
 
 def explicit_block(model, levels):
@@ -86,27 +153,34 @@ def density_states(block, rho):
     """Reference kept-state candidates from a density matrix, laid out as
     ``_Superblock.schmidt`` gives its Schmidt vectors and weights: each
     pair sector's block of rho has its eigenvectors, in descending order of
-    eigenvalue, on the sector's rows and columns of a dim x dim matrix, and
-    the eigenvalues on the same rows."""
-    vectors, weights = np.zeros((block.dim, block.dim)), np.zeros(block.dim)
-    for s in np.unique(block.sectors):
-        idx = np.flatnonzero(block.sectors == s)
+    eigenvalue, as the columns of a matrix over the sector's states, and
+    the eigenvalues."""
+    states = {}
+    for s in block.dims:
+        idx = rows(block, s)
         vals, vecs = scipy.linalg.eigh(rho[np.ix_(idx, idx)])
-        vectors[np.ix_(idx, idx)], weights[idx] = vecs[:, ::-1], vals[::-1]
-    return vectors, weights
+        states[s] = vecs[:, ::-1], vals[::-1]
+    return states
+
+
+def all_weights(states):
+    """The weights of every candidate, sector by sector."""
+    return np.concatenate([states[s][1] for s in sorted(states)])
 
 
 def check_candidates(block, states, paired):
-    """Schmidt candidates in matrix form: orthonormal columns, exact zeros
-    between different sectors, weights >= 0 summing to 1, and weight
+    """Schmidt candidates per sector: every block sector present, each
+    with a square orthonormal matrix over its own states (so nothing
+    between different sectors), weights >= 0 summing to 1, and weight
     exactly 0 in every block sector outside ``paired``."""
-    vectors, weights = states
-    assert vectors.shape == (block.dim, block.dim) and weights.shape == (block.dim,)
-    assert np.allclose(vectors.T @ vectors, np.eye(block.dim), rtol=0, atol=1e-13)
-    assert not vectors[block.sectors[:, None] != block.sectors[None, :]].any()
-    assert weights.min() >= 0.0
-    assert weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert not weights[~np.isin(block.sectors, list(paired))].any()
+    assert sorted(states) == sorted(block.dims)
+    for s, (vectors, weights) in states.items():
+        d = block.dims[s]
+        assert vectors.shape == (d, d) and weights.shape == (d,)
+        assert np.allclose(vectors.T @ vectors, np.eye(d), rtol=0, atol=1e-13)
+        assert weights.min() >= 0.0
+        assert s in paired or not weights.any()
+    assert all_weights(states).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 #: Coefficients whose part outside a block's modes exceeds this fraction of
@@ -124,13 +198,13 @@ def weighted(block, coeffs, kind):
     y = span.T @ c
     if np.linalg.norm(c - span @ y) > _SPAN_TOL * np.linalg.norm(c):
         raise ValueError("coefficients reach outside the block's coupling modes")
-    return block._mode_sum(kind, y[:, None])[0]
+    return np.tensordot(y, dense_modes(block, kind), 1)
 
 
 def ground(hole, particle, model, target, config):
     """E0 and the dense (hole.dim, particle.dim) superblock ground state."""
     e0, op, x, _ = dmrg._solve_superblock(hole, particle, model, target, config)
-    return e0, op.embed(x)
+    return e0, embed(op, hole, particle, x)
 
 
 def first_blocks(model, config):
@@ -171,8 +245,9 @@ def random_block(model, levels, n_bare, rng):
     split = len(levels) - n_bare
     core = exact_block(model, levels[:split])
     rho, rank = sector_pure_density(core, rng)
-    core, _, w = _truncate_with_basis(core, density_states(core, rho), rank)
-    return GrownBlock(core, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
+    small, _, kept = _truncate_with_basis(core, density_states(core, rho), rank)
+    w = dense_w(core, small, kept)
+    return GrownBlock(small, levels[split:], model), np.kron(w, np.eye(1 << n_bare))
 
 
 def truncated_block(model, levels, m, rng):
@@ -181,8 +256,8 @@ def truncated_block(model, levels, m, rng):
     ``random_block``."""
     core = exact_block(model, levels[:-1])
     rho, _ = sector_pure_density(core, rng)
-    core, _, w = _truncate_with_basis(core, density_states(core, rho), m)
-    return GrownBlock(core, levels[-1:], model), np.kron(w, np.eye(2))
+    small, _, kept = _truncate_with_basis(core, density_states(core, rho), m)
+    return GrownBlock(small, levels[-1:], model), np.kron(dense_w(core, small, kept), np.eye(2))
 
 
 def held_float_entries(obj) -> int:
@@ -212,7 +287,7 @@ def level_ops(levels, basis):
 
 def kronecker_superblock(hole, hole_basis, particle, particle_basis, model):
     """Dense superblock Hamiltonian from per-level Kronecker products."""
-    h = np.kron(hole.h, np.eye(particle.dim)) + np.kron(np.eye(hole.dim), particle.h)
+    h = np.kron(dense_h(hole), np.eye(particle.dim)) + np.kron(np.eye(hole.dim), dense_h(particle))
     bh, nh = level_ops(hole.levels, hole_basis)
     bp, n_p = level_ops(particle.levels, particle_basis)
     for a, i in enumerate(hole.levels):
@@ -224,7 +299,7 @@ def kronecker_superblock(hole, hole_basis, particle, particle_basis, model):
 
 def mode_counts(block):
     """(r1, r2): the block's raise and number mode counts."""
-    return tuple(modes.ops.shape[0] for modes in block.modes)
+    return tuple(modes.span.shape[1] for modes in block.modes)
 
 
 def pattern_ops(levels, level):
@@ -273,15 +348,16 @@ def test_single_level_block():
     assert b.levels == (2,)
     assert b.dim == 2
     assert b.sectors.tolist() == [0, 1]
-    assert np.array_equal(b.h, np.diag([0.0, 6.0]))
+    assert np.array_equal(dense_h(b), np.diag([0.0, 6.0]))
     # constant pairing, no monopole term: one raise mode, no number mode
     assert mode_counts(b) == (1, 0)
     assert np.array_equal(weighted(b, [1.0], 0), np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         weighted(b, [1.0], 1)
     assert b.n_bare == 1
-    # h and the 1 x 1 vacuum part of the raise mode; the bare level stores nothing
-    assert b.stored_entries() == 4 + 1
+    # h's two 1 x 1 sector blocks; the one-sector vacuum core has no raise
+    # edge, and the bare level stores nothing
+    assert b.stored_entries() == 1 + 1
 
 
 def test_vacuum_block():
@@ -289,7 +365,7 @@ def test_vacuum_block():
     assert b.dim == 1
     assert b.levels == ()
     assert b.sectors.tolist() == [0]
-    assert b.h[0, 0] == 0.0
+    assert b.h[0][0, 0] == 0.0
 
 
 def test_grow_block_sectors_and_dim():
@@ -306,13 +382,14 @@ def test_grown_hamiltonian_matches_single_elements():
     model = random_model(rng, 6)
     levels = [3, 0, 4]
     b = exact_block(model, levels)
+    h = dense_h(b)
     pats = block_patterns(levels)
     for a, s in enumerate(pats):
         for c, t in enumerate(pats):
             if b.sectors[a] == b.sectors[c]:
-                assert b.h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
+                assert h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
             else:
-                assert b.h[a, c] == 0.0
+                assert h[a, c] == 0.0
 
 
 def test_grown_block_operators_match_materialized():
@@ -321,22 +398,24 @@ def test_grown_block_operators_match_materialized():
     # keep three modes of each kind
     model = random_model(np.random.default_rng(3), 7)
     core_levels, levels = [0, 1], [0, 1, 2, 4]
+    exact = exact_block(model, core_levels)
     own = [np.array([pattern_ops(core_levels, l)[k] for l in core_levels]) for k in (0, 1)]
-    core = Block(
-        core_levels,
-        exact_block(model, core_levels).sectors,
-        exact_block(model, core_levels).h,
-        [Modes(ops, np.eye(2)) for ops in own],
-    )
+    edges = [
+        {s: ops[:, rows(exact, s + 1 - k)[:, None], rows(exact, s)] for s in exact.dims if s + 1 - k in exact.dims}
+        for k, ops in enumerate(own)
+    ]
+    core = Block(core_levels, exact.sectors, exact.h, [Modes(ops, np.eye(2)) for ops in edges])
     g = GrownBlock(core, [2, 4], model)
     assert g.levels == tuple(levels)
-    assert (g.core_dim, g.n_bare) == (4, 2)
+    # level 2 joins explicitly, level 4 stays bare
+    assert (g.dim, g.n_bare) == (16, 1)
     assert mode_counts(g) == (3, 3)
+    h = dense_h(g)
     pats = block_patterns(levels)
     for a, s in enumerate(pats):
         for c, t in enumerate(pats):
             if g.sectors[a] == g.sectors[c]:
-                assert g.h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
+                assert h[a, c] == pytest.approx(matrix_element(model, s, t), abs=1e-12)
     for outside in (3, 5, 6):
         coeffs = model.v1[levels, outside]
         want = sum(c * pattern_ops(levels, l)[0] for c, l in zip(coeffs, levels))
@@ -355,10 +434,12 @@ def test_grown_block_stores_less_than_materialized():
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
     core = explicit_block(model, [0, 1, 2])
     g = GrownBlock(core, [3], model)
-    # exactly h plus the explicit part of one raise mode; core.h is dropped
+    # exactly h plus the explicit part of one raise mode on the core's
+    # sector edges; core.h is dropped
     assert mode_counts(core) == mode_counts(g) == (1, 0)
-    assert g.stored_entries() == g.h.size + core.dim**2
-    assert g.stored_entries() < g.h.size + 2 * len(g.levels) * g.dim**2
+    h_entries = sum(h.size for h in g.h.values())
+    assert g.stored_entries() == h_entries + core.per_level_entries() == h_entries + 3 + 9 + 3
+    assert g.stored_entries() < g.dim**2 + 2 * len(g.levels) * g.dim**2
 
 
 def test_grow_block_rejects_duplicate_level():
@@ -371,16 +452,16 @@ def test_grow_block_rejects_duplicate_level():
 
 def test_per_level_entry_convention():
     model = toy_model()
-    b = explicit_block(model, [0, 1])  # 2 levels, dim 4, kept by truncation
-    # one raise mode: creation and annihilation
-    assert b.per_level_entries() == 2 * 16
-    assert b.stored_entries() == 16 + 16  # h plus the mode
+    b = explicit_block(model, [0, 1])  # 2 levels, sectors of 1, 2 and 1
+    # one raise mode, held once on its edges 0 -> 1 and 1 -> 2
+    assert b.per_level_entries() == 2 + 2
+    assert b.stored_entries() == (1 + 4 + 1) + 4  # h's sector blocks plus the mode
     model = random_model(np.random.default_rng(4), 6)
     b = explicit_block(model, [0, 1])
-    # two raise and two number modes: 2 * 2 + 2 operators of 4 x 4
+    # two raise modes on the edges and two number modes on the sectors
     assert mode_counts(b) == (2, 2)
-    assert b.per_level_entries() == (2 * 2 + 2) * 16
-    assert b.stored_entries() == 16 + 4 * 16
+    assert b.per_level_entries() == 2 * 4 + 2 * 6
+    assert b.stored_entries() == 6 + 2 * 4 + 2 * 6
 
 
 def test_target_pairs():
@@ -547,7 +628,7 @@ def test_superblock_matches_dense_sector():
     e0, op, x, _ = dmrg._solve_superblock(hole, particle, model, 2, DmrgConfig(m=4, total_pairs=2))
     assert e0 == pytest.approx(TOY_GROUND, abs=1e-10)
     # the hole side's Schmidt weights are its density matrix's eigenvalues
-    lam = np.sort(op.schmidt(x)[0][1])[::-1]
+    lam = np.sort(all_weights(op.schmidt(x)[0]))[::-1]
     assert np.allclose(lam, TOY_RHO_EIGS, atol=1e-9)
 
 
@@ -578,12 +659,12 @@ def test_solve_record_reports_matvecs_residual_and_overlap():
     assert cold["warm_start_overlap"] == 0.0
     # started from the exact ground state: one Davidson step, at overlap 1
     vals, vecs = np.linalg.eigh(np.array([op.matvec(e) for e in np.eye(op.sector_dim)]))
-    guess = -3.0 * op.embed(vecs[:, 0])
+    guess = entries(op, hole, particle, -3.0 * embed(op, hole, particle, vecs[:, 0]))
     e_warm, _, _, warm = dmrg._solve_superblock(hole, particle, model, 6, config, guess)
     assert warm["matvecs"] == 1 < cold["matvecs"]
     assert warm["warm_start_overlap"] == pytest.approx(1.0, abs=1e-12)
     assert e_warm == pytest.approx(vals[0], rel=1e-14)
-    mixed = op.embed(0.6 * vecs[:, 0] + 0.8 * vecs[:, 1])
+    mixed = entries(op, hole, particle, embed(op, hole, particle, 0.6 * vecs[:, 0] + 0.8 * vecs[:, 1]))
     _, _, _, record = dmrg._solve_superblock(hole, particle, model, 6, config, mixed)
     assert record["warm_start_overlap"] == pytest.approx(0.6, abs=1e-4)
 
@@ -627,14 +708,22 @@ def test_embed_guess_uses_the_local_ground_state():
         v1=np.array([[0.0, 0.3, 0.2], [0.3, 0.0, -0.7], [0.2, -0.7, 0.0]]),
         v2=np.full((3, 3), 0.4) - 0.4 * np.eye(3),
     )
-    one = np.ones((1, 1))
+    one = {(0, 0): np.ones(1)}
+    hole, particle = exact_block(model, [1]), exact_block(model, [2])
+
+    def dense(delta):
+        psi = np.zeros((2, 2))
+        for sh, rh, sp, rp, values in dmrg._embed_guess(one, model, hole, particle, delta):
+            psi[rows(hole, sh)[rh], rows(particle, sp)[rp]] = values
+        return psi
+
     vecs = np.linalg.eigh([[-2.0, -0.7], [-0.7, 4.0]])[1]
-    guess = dmrg._embed_guess(one, model, 1, 2, 1)
+    guess = dense(1)
     assert abs(guess[1, 0]) > abs(guess[0, 1])
     assert abs(guess[1, 0] * vecs[0, 0] + guess[0, 1] * vecs[1, 0]) == pytest.approx(1.0, abs=1e-15)
     assert guess[0, 0] == guess[1, 1] == 0.0
-    assert dmrg._embed_guess(one, model, 1, 2, 0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
-    assert dmrg._embed_guess(one, model, 1, 2, 2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    assert dense(0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert dense(2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -672,7 +761,7 @@ def _check_blocked_superblock(model, n, rng, data):
             continue
         op = _Superblock(hole, particle, model, target)
         x = rng.normal(size=op.sector_dim)
-        want = op.restrict(h @ op.embed(x).ravel())
+        want = restrict(op, hole, particle, h @ embed(op, hole, particle, x).ravel())
         assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
         sector = h[np.ix_(mask, mask)]
         exact = np.linalg.eigvalsh(sector)[0]
@@ -685,7 +774,7 @@ def _check_blocked_superblock(model, n, rng, data):
         if op.sector_dim <= 64:
             scale = op.sector_dim * np.finfo(float).eps * np.linalg.norm(sector, 2)
             bound = max(bound, 30.0 * scale)
-        x = op.restrict(psi)
+        x = restrict(op, hole, particle, psi)
         assert np.linalg.norm(op.matvec(x) - e0 * x) <= bound
 
 
@@ -695,16 +784,16 @@ def test_truncation_projects_level_operators(n_explicit, n_bare):
     model = random_model(rng, 6)
     levels = [4, 0, 5, 2, 1][: n_explicit + n_bare]
     block, basis = random_block(model, levels, n_bare, rng)
-    assert block.n_bare == n_bare
+    assert block.n_bare == min(n_bare, 1)
     rho, rank = sector_pure_density(block, rng)
-    new, _, w = _truncate_with_basis(block, density_states(block, rho), rank)
+    new, _, kept = _truncate_with_basis(block, density_states(block, rho), rank)
     assert new.levels == block.levels and new.n_bare == 0
     assert mode_counts(new) == mode_counts(block)
-    for kind, ops in enumerate(level_ops(levels, basis @ w)):
+    for kind, ops in enumerate(level_ops(levels, basis @ dense_w(block, new, kept))):
         span = block.modes[kind].span
         assert np.array_equal(new.modes[kind].span, span)
         want = np.tensordot(span.T, ops, 1)
-        assert np.allclose(new.modes[kind].ops, want, rtol=0, atol=1e-13)
+        assert np.allclose(dense_modes(new, kind), want, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -744,6 +833,104 @@ def test_modes_reproduce_outside_couplings(n, kind, seed, data):
                 weighted(block, beyond, mode)
 
 
+def check_reference(real, ref):
+    """A sector-keyed block against the whole-basis reference: the same
+    basis, h to 1e-13 of its scale, and every level's operator sum_q
+    span[i, q] (mode q), which does not depend on the modes' basis."""
+    assert real.levels == ref.levels and np.array_equal(real.sectors, ref.sectors)
+    assert np.abs(dense_h(real) - ref.h).max() <= 1e-13 * max(1.0, np.abs(ref.h).max())
+    for kind in (0, 1):
+        mine = np.tensordot(real.modes[kind].span, dense_modes(real, kind), 1)
+        assert np.abs(mine - dense_blocks.level_operators(ref, kind)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["bcs", "general", *FamilyKind])
+def test_sector_blocks_match_the_whole_basis_formulas(kind):
+    # every grown and truncated block of N/2 steps, on the path of a run:
+    # one-level and (general, 3 pairs in 10 levels) two-level growth, and
+    # truncation to the run's Schmidt states
+    rng = np.random.default_rng(25)
+    if kind == "bcs":
+        model, pairs = build_reduced_bcs(np.arange(1.0, 11.0), 0.4), 5
+    elif kind == "general":
+        model, pairs = random_model(rng, 10), 3
+    else:
+        model, pairs = integrable_model(rng, 10, kind), 5
+    config = DmrgConfig(m=8, total_pairs=pairs, superblock_tol=1e-12)
+    blocks = [vacuum_block()] * 2
+    refs = [dense_blocks.vacuum()] * 2
+    for k, (*new, target) in enumerate(_plan(model, config), 1):
+        for side, levels in enumerate(new):
+            if levels:
+                blocks[side] = GrownBlock(blocks[side], levels, model)
+                refs[side] = dense_blocks.grow(refs[side], levels, model)
+            check_reference(blocks[side], refs[side])
+        _, op, x, _ = dmrg._solve_superblock(*blocks, model, target, config)
+        psi = embed(op, *blocks, x)
+        *states, sigma = op.schmidt(x)
+        ws = []
+        for side in (0, 1):
+            small, _, kept = _truncate_with_basis(blocks[side], states[side], config.m)
+            ws.append(dense_w(blocks[side], small, kept))
+            refs[side] = dense_blocks.truncate(refs[side], ws[-1])
+            blocks[side] = small
+            check_reference(blocks[side], refs[side])
+        # the state on the kept states is the singular values on the pairs
+        # of kept Schmidt states, as run_infinite carries it
+        carried = np.zeros((blocks[0].dim, blocks[1].dim))
+        for s, sv in sigma.items():
+            n = min(len(sv), *(np.count_nonzero(b.sectors == t) for b, t in zip(blocks, (s, target - s))))
+            carried[rows(blocks[0], s)[:n], rows(blocks[1], target - s)[:n]] = sv[:n]
+        assert np.abs(ws[0].T @ psi @ ws[1] - carried).max() <= 1e-14
+    assert max(b.dim for b in blocks) == 8 and k == 5
+
+
+def test_one_step_at_m_128_forms_no_whole_basis_array(monkeypatch):
+    # reduced BCS, N = 18: two blocks of eight levels kept to 128 states
+    # grow to 256; growth, superblock set-up, the Schmidt decomposition
+    # and both truncations each pass through less transient memory than
+    # one 256 x 256 float array, and hold none
+    seen = record_truncations(monkeypatch)
+    model = build_reduced_bcs(np.arange(1.0, 19.0), 0.3)
+    config = DmrgConfig(m=128, total_pairs=9, superblock_tol=1e-12)
+    run_infinite(model, config)
+    (hole, particle), (new_h, new_p, target) = [kept for _, kept in seen[14:16]], _plan(model, config)[8]
+    assert hole.dim == particle.dim == 128
+    whole = 8 * 256 * 256
+
+    def traced(step):
+        tracemalloc.start()
+        try:
+            out = step()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < whole
+        return out
+
+    hole, particle = traced(lambda: (GrownBlock(hole, new_h, model), GrownBlock(particle, new_p, model)))
+    assert hole.dim == particle.dim == 256
+    op = traced(lambda: _Superblock(hole, particle, model, target))
+    x = dmrg._solve_superblock(hole, particle, model, target, config)[2]
+    states = traced(lambda: op.schmidt(x))
+    for block, side in zip((hole, particle), states):
+        traced(lambda: _truncate_with_basis(block, side, config.m))
+    for held in (hole, particle, op, *states[:2]):
+        assert largest_float_array(vars(held) if hasattr(held, "__dict__") else held) < 256 * 256
+
+
+def largest_float_array(obj) -> int:
+    """Size of the largest float array reachable from ``obj`` through
+    lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.size if obj.dtype.kind == "f" else 0
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return max((largest_float_array(x) for x in obj), default=0)
+    return 0
+
+
 def record_truncations(monkeypatch):
     """Collect (grown, truncated) block pairs from the runs that follow."""
     seen = []
@@ -767,8 +954,12 @@ def test_reduced_bcs_blocks_keep_one_raise_mode(monkeypatch):
     assert len(seen) == 2 * 20
     for grown, kept in seen:
         assert mode_counts(grown) == mode_counts(kept) == (1, 0)
-    # one m x m raise mode per block, creation plus annihilation
-    assert result.per_level_peak_entries == 4 * m**2
+        # held on an m-state core's sector edges: at most m^2 / 4
+        assert 0 < kept.per_level_entries() <= m**2 // 4
+    # the two blocks' raise edges at their largest, as the run saw them
+    sides = zip(seen[::2], seen[1::2])  # (grown, kept) of the hole, then of the particle
+    peak = max(h.per_level_entries() + p.per_level_entries() for pair in sides for h, p in zip(*pair))
+    assert peak <= result.per_level_peak_entries <= 2 * m**2 // 4
 
 
 def test_general_blocks_keep_at_most_their_coupling_rank(monkeypatch):
@@ -813,7 +1004,7 @@ def test_stacked_superblock_matches_kronecker_products_at_full_rank():
     h = kronecker_superblock(hole, hole_basis, particle, particle_basis, model)
     rng = np.random.default_rng(1)
     for x in [*rng.normal(size=(3, op.sector_dim)), *np.eye(op.sector_dim)[[0, 100, 220]]]:
-        want = op.restrict(h @ op.embed(x).ravel())
+        want = restrict(op, hole, particle, h @ embed(op, hole, particle, x).ravel())
         assert np.linalg.norm(op.matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
     mask = np.add.outer(hole.sectors, particle.sectors).ravel() == 6
     config = DmrgConfig(m=2, total_pairs=0, superblock_tol=1e-12)
@@ -872,19 +1063,18 @@ def test_schmidt_states_match_density_matrix_eigenstates(n, seed, data):
     op = _Superblock(hole, particle, model, target)
     x = rng.normal(size=op.sector_dim)
     x /= np.linalg.norm(x)
-    psi = op.embed(x)
+    psi = embed(op, hole, particle, x)
     partners = (set(op.secs), {target - s for s in op.secs})
     for block, side, states, paired in zip(blocks, ("hole", "particle"), op.schmidt(x), partners):
         eigen = density_states(block, reduced_density(psi, side))
         check_candidates(block, states, paired)
-        assert np.all(np.abs(states[1] - eigen[1]) <= 1e-14)
-        ranked = np.sort(states[1])[::-1]
+        assert np.all(np.abs(all_weights(states) - all_weights(eigen)) <= 1e-14)
+        ranked = np.sort(all_weights(states))[::-1]
         for m in range(1, block.dim):
             gap = ranked[m - 1] - ranked[m]
             if gap <= 1e-8:
                 continue
-            w_svd = _truncate_with_basis(block, states, m)[2]
-            w_rho = _truncate_with_basis(block, eigen, m)[2]
+            w_svd, w_rho = (dense_w(block, *_truncate_with_basis(block, st, m)[::2]) for st in (states, eigen))
             assert np.allclose(w_svd @ w_svd.T, w_rho @ w_rho.T, rtol=0, atol=1e-14 / gap)
 
 
@@ -961,7 +1151,7 @@ def test_truncate_weight_matches_dropped_eigenvalues():
     assert 0.0 <= weight <= 1.0
     # kept states are sector pure, so the projected h stays block diagonal
     diff = new.sectors[:, None] != new.sectors[None, :]
-    assert not new.h[diff].any()
+    assert not dense_h(new)[diff].any()
 
 
 def test_truncation_ties_go_to_the_lower_sector():
@@ -971,16 +1161,16 @@ def test_truncation_ties_go_to_the_lower_sector():
     assert block.sectors.tolist() == [0, 1, 1, 2]
     states = identity_states(block)
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
-    states[0][1:3, 1:3] = rotation
+    states[1] = rotation, states[1][1]
     new, weight, _ = _truncate_with_basis(block, states, 3)
     assert new.sectors.tolist() == [0, 1, 1]
     assert weight == pytest.approx(0.25, abs=1e-15)
-    w = _truncate_with_basis(block, states, 2)[2]
+    w = dense_w(block, *_truncate_with_basis(block, states, 2)[::2])
     assert np.array_equal(w[1:3, 1], rotation[:, 0])
     # a sector's rows need not precede the next sector's
     block = exact_block(toy_model(), [0, 1, 2])
     assert block.sectors.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
-    w = _truncate_with_basis(block, identity_states(block), 5)[2]
+    w = dense_w(block, *_truncate_with_basis(block, identity_states(block), 5)[::2])
     assert np.array_equal(w, np.eye(8)[:, [0, 1, 2, 4, 3]])
 
 
@@ -991,28 +1181,30 @@ def test_truncate_rank_one_density():
     op = _Superblock(hole, particle, model, 2)
     psi = np.zeros((4, 4))
     psi[2, 1] = 1.0  # one pair on each side
-    for block, states, vec in zip((hole, particle), op.schmidt(op.restrict(psi)), np.eye(4)[[2, 1]]):
-        new, weight, w = _truncate_with_basis(block, states, 1)
+    for block, states, vec in zip((hole, particle), op.schmidt(restrict(op, hole, particle, psi)), np.eye(4)[[2, 1]]):
+        new, weight, kept = _truncate_with_basis(block, states, 1)
         assert new.dim == 1
         assert weight == pytest.approx(0.0, abs=1e-12)
-        assert abs(w[:, 0] @ vec) == pytest.approx(1.0, abs=1e-12)
+        assert abs(dense_w(block, new, kept)[:, 0] @ vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncate_shape_check():
     # the Schmidt states cover each block's basis sector by sector, one
-    # dim x dim matrix and dim weights per side, and truncation returns the
-    # kept-state matrix and the operators on it
+    # square matrix and its weights per sector, and truncation returns the
+    # kept states per sector and the operators on them
     model = random_model(np.random.default_rng(6), 6)
     hole, particle = exact_block(model, [2, 1, 0]), exact_block(model, [3, 4, 5])
     _, op, x, _ = dmrg._solve_superblock(hole, particle, model, 3, DmrgConfig(m=5, total_pairs=3))
     partners = (set(op.secs), {3 - s for s in op.secs})
     for block, states, paired in zip((hole, particle), op.schmidt(x), partners):
         check_candidates(block, states, paired)
-        new, _, w = _truncate_with_basis(block, states, 5)
-        assert w.shape == (block.dim, 5) and new.h.shape == (5, 5) and new.dim == 5
-        for modes, kept in zip(block.modes, new.modes):
-            assert kept.ops.shape == (len(modes.ops), 5, 5)
-            assert np.array_equal(kept.span, modes.span)
+        new, _, kept = _truncate_with_basis(block, states, 5)
+        assert sum(w.shape[1] for w in kept.values()) == new.dim == 5
+        assert all(w.shape == (block.dims[s], new.dims[s]) for s, w in kept.items())
+        assert all(new.h[s].shape == (d, d) for s, d in new.dims.items())
+        for kind, (modes, small) in enumerate(zip(block.modes, new.modes)):
+            assert dense_modes(new, kind).shape == (mode_counts(block)[kind], 5, 5)
+            assert np.array_equal(small.span, modes.span)
 
 
 def test_a_1e100_scaled_model_solves():
@@ -1027,6 +1219,23 @@ def test_a_1e100_scaled_model_solves():
     assert [(r.dim_hole, r.dim_particle) for r in result.iterations] == [(2**k, 2**k) for k in range(1, 6)]
     for reference in (exact, ed):
         assert abs(result.final_energy - reference) <= 1e-10 * abs(reference)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-24])
+def test_solvers_keep_their_accuracy_at_any_energy_scale(scale):
+    # the stopping rule scales with the operator: ED and an untruncated
+    # run (m = 32 keeps every state) meet the dense spectrum to 1e-12
+    # relative at every scale, where an absolute eps^(2/3) floor stopped
+    # Davidson early below about 1e-15
+    model = build_reduced_bcs(np.arange(1.0, 11.0) * scale, 0.5 * scale)
+    basis = enumerate_basis(10, 5)
+    exact = dense_spectrum(model, basis).energies[0]
+    ed = iterative_ground(model, basis, tol=1e-12)
+    run = run_infinite(model, DmrgConfig(m=32, total_pairs=5, superblock_tol=1e-12))
+    # the last superblock is the 252-state sector, a Davidson solve too
+    assert ed.method == "iterative" and run.iterations[-1].matvecs < math.comb(10, 5)
+    for energy in (ed.energies[0], run.final_energy):
+        assert abs(energy - exact) <= 1e-12 * abs(exact)
 
 
 def test_run_infinite_untruncated_equals_dense():
