@@ -6,8 +6,9 @@ output files are byte-identical across runs.  Each output file gets a
 sibling <out>.manifest.json recording the command, inputs and seeds.
 
 Exit codes: 0 success, 2 validation failure, 3 problem too large or out of
-memory, 4 unsupported shape, 5 solver failure.  errors.py gives each
-PairsolveError class its code; main maps the numpy and builtin errors.
+memory, 4 unsupported shape, 5 solver failure.  The library calls check
+their flags before building anything, errors.py gives each PairsolveError
+class its code, and main maps the numpy and builtin errors.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .dmrg import (
     without_timings,
 )
 from .errors import NoConvergence, PairsolveError, SchemaError
-from .exactdiag import check_solver_args, iterative_ground
+from .exactdiag import iterative_ground
 from .model import (
     FamilyKind,
     IntegrableSpec,
@@ -147,21 +148,11 @@ def cmd_build(args) -> int:
 # --- ed --------------------------------------------------------------------
 
 
-def _exact_diag(model, basis, args, k=1):
-    """The k lowest states by iterative_ground, which solves small
-    sectors, or k > dim - 2 (all of them at k = dim), densely; the flags
-    are checked before the action is built."""
-    if not 1 <= k <= basis.dim:
-        raise SchemaError(f"--k must be in 1..{basis.dim}, got {k}")
-    check_solver_args(args.tol, args.seed)
-    return iterative_ground(model, basis, k=k, tol=args.tol, seed=args.seed)
-
-
 def cmd_ed(args) -> int:
     model = _load_model_file(args.model)
     start = time.perf_counter()
     basis = enumerate_basis(model.n_levels, args.pairs)
-    result = _exact_diag(model, basis, args, args.k)
+    result = iterative_ground(model, basis, k=args.k, tol=args.tol, seed=args.seed)
     elapsed = time.perf_counter() - start
     print(f"sector dimension: {basis.dim}")
     print(f"method: {result.method}")
@@ -215,7 +206,7 @@ def cmd_compare(args) -> int:
     # cover ED's tol and seed
     basis = enumerate_basis(model.n_levels, args.pairs)
     dm = _run_dmrg(model, args, args.m)
-    ed = _exact_diag(model, basis, args)
+    ed = iterative_ground(model, basis, tol=args.tol, seed=args.seed)
     e_ed = float(ed.energies[0])
     e_dm = float(dm.final_energy)
     abs_err, rel_err, sig_figs = _agreement(e_dm, e_ed)

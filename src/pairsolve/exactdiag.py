@@ -8,10 +8,10 @@ sector, and lowest_eigenpairs, the eigensolver entry point that
 iterative_ground and the DMRG superblock solve share.  Above the dense
 fallback size, the lowest k states are found by Davidson's method
 preconditioned with the operator's diagonal, in a subspace of 3(k + 1)
-vectors: six for every ground state.  Every dense matrix, the oracle's
-and lowest_eigenpairs' small operators', is built by applying the
-operator to one unit vector at a time and is solved by numpy's eigh;
-only the action's constructor needs more than numpy.  Davidson runs
+vectors: six for every ground state.  The oracle's dense matrix is the
+sparse product C (K (x) 1) C^T, and lowest_eigenpairs builds its small
+operators by applying them to one unit vector at a time; numpy's eigh
+solves both, and only the action needs more than numpy.  Davidson runs
 every OpenBLAS in the process on one thread (_one_blas_thread).
 """
 from __future__ import annotations
@@ -259,13 +259,16 @@ class HamiltonianAction:
         return y
 
     def dense_matrix(self) -> np.ndarray:
-        """Explicit symmetric matrix, ``apply``'s columns with H's own
+        """Explicit symmetric matrix, ``C (K (x) 1) C^T`` with H's own
         diagonal set; intended for small sectors only.
 
         Two states one hop apart share exactly one neighbour, so each
         off-diagonal entry is exactly one v1 value, and the rest +0.0.
         """
-        h = _columns(self.apply, self.basis.dim)
+        import scipy.sparse
+
+        ones = scipy.sparse.identity(self._matrix.shape[1] // len(self._k))
+        h = (self._matrix @ scipy.sparse.kron(self._k, ones) @ self._matrix.T).toarray()
         np.fill_diagonal(h, self.diagonal)
         return h
 
@@ -344,7 +347,7 @@ class Eigenpairs(NamedTuple):
     matvecs: int
 
 
-def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter=None):
+def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size times min(k, 8), or with k > n - 2, the
@@ -353,17 +356,13 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
     rows of ``v0`` (for k = 1, a vector), or from the k lowest-diagonal
     unit vectors (ties by index, found by a partition, not a full sort)
     plus a perturbation drawn from ``seed``, in a subspace of 3(k + 1)
-    vectors (n at most); ``maxiter`` (default 10 n) caps its steps, one
-    matvec each.  A k or ``maxiter`` that is not an integer, or a
-    ``maxiter`` below k, raises InvariantViolation.
+    vectors (n at most), for at most 10 n steps, one matvec each.  A k outside
+    1..n raises InvariantViolation, as check_solver_args does on tol and seed.
     """
-    maxiter = 10 * n if maxiter is None else maxiter
-    check_integers(k=k, maxiter=maxiter)
+    check_integers(k=k)
     if not 1 <= k <= n:
         raise InvariantViolation(f"k must be in 1..{n}, got {k}")
     check_solver_args(tol, seed)
-    if maxiter < k:
-        raise InvariantViolation(f"maxiter must be at least 1 per pair ({k}), got {maxiter}")
     if _dense(n, k):
         h = _columns(matvec, n)
         energies, vectors = np.linalg.eigh(h)
@@ -376,7 +375,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0, maxiter
         start[np.arange(k), low[np.argsort(diagonal[low], kind="stable")[:k]]] += 1.0
     else:
         start = np.reshape(v0, (k, n))
-    energies, vectors, residual, steps = _davidson(matvec, diagonal, start, tol, maxiter)
+    energies, vectors, residual, steps = _davidson(matvec, diagonal, start, tol, 10 * n)
     return Eigenpairs(energies, vectors, "iterative", residual, steps)
 
 
@@ -537,11 +536,15 @@ def iterative_ground(
     k = dim), are solved densely, by numpy's eigh at the caller's BLAS
     thread count.  Davidson and its certificate run every OpenBLAS on one
     thread: at N = 20, M = 10 on 2 cores that took about 11% more wall
-    time and 44% less CPU time than two threads.  A solve that would hold
-    more entries (``eigensolver_entries``) than a k = 1 solve on a sector
-    of DEFAULT_MAX_DIM states raises TooLarge before anything is built.
+    time and 44% less CPU time than two threads.  Before anything is
+    built, k, tol and seed get lowest_eigenpairs' checks, and a solve
+    that would hold more entries (``eigensolver_entries``) than a k = 1
+    solve on DEFAULT_MAX_DIM states raises TooLarge.
     """
     check_integers(k=k)
+    if not 1 <= k <= basis.dim:
+        raise InvariantViolation(f"k must be in 1..{basis.dim}, got {k}")
+    check_solver_args(tol, seed)
     limit = eigensolver_entries(DEFAULT_MAX_DIM)
     if eigensolver_entries(basis.dim, k) > limit:
         raise TooLarge(

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import json
 import os
@@ -38,6 +37,7 @@ from pairsolve import (
 from pairsolve import cli, exactdiag
 from pairsolve.cli import main
 from pairsolve.exactdiag import lowest_eigenpairs
+from test_exactdiag import cap_davidson
 
 TOY_GROUND = 4.5103478446361525
 
@@ -224,8 +224,7 @@ def test_ed_non_convergence_reports_best_estimate(tmp_path, capsys, monkeypatch)
     model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
     path = tmp_path / "ten.json"
     path.write_text(json.dumps(pairsolve.save_model(model)))
-    short = functools.partial(lowest_eigenpairs, maxiter=3)
-    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
+    cap_davidson(monkeypatch, 3)
     with pytest.raises(NoConvergence) as exc:
         iterative_ground(model, enumerate_basis(10, 5), k=2)
     out = tmp_path / "ed.json"
@@ -297,10 +296,10 @@ def test_ed_k_over_the_storage_of_one_pair_at_the_budget_exits_3(tmp_path, capsy
 
 
 BAD_FLAGS = [
-    (["ed", "--k", "0"], "--k must be in 1..70, got 0"),
-    (["ed", "--k", "-2"], "--k must be in 1..70, got -2"),
-    (["ed", "--k", "100"], "--k must be in 1..70, got 100"),
-    (["ed", "--k", "71"], "--k must be in 1..70, got 71"),
+    (["ed", "--k", "0"], "k must be in 1..70, got 0"),
+    (["ed", "--k", "-2"], "k must be in 1..70, got -2"),
+    (["ed", "--k", "100"], "k must be in 1..70, got 100"),
+    (["ed", "--k", "71"], "k must be in 1..70, got 71"),
     (["ed", "--tol", "nan"], "tol must be finite and positive, got nan"),
     (["ed", "--tol", "inf"], "tol must be finite and positive, got inf"),
     (["ed", "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -349,7 +348,7 @@ LIBRARY_KNOBS = [
     (iterative_ground, {"model", "basis", "k", "tol", "seed"}),
     (dense_spectrum, {"model", "basis"}),
     (enumerate_basis, {"n_levels", "n_pairs"}),
-    (lowest_eigenpairs, {"matvec", "n", "k", "tol", "v0", "seed", "maxiter", "diagonal"}),
+    (lowest_eigenpairs, {"matvec", "n", "k", "tol", "v0", "seed", "diagonal"}),
 ]
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import re
 import threading
@@ -48,6 +47,7 @@ from pairsolve.dmrg import (
 )
 from pairsolve.errors import PairsolveError
 from test_ed_differential import integrable_model
+from test_exactdiag import cap_davidson
 
 import dense_blocks
 
@@ -498,7 +498,6 @@ NON_INTEGERS = [
     ("dmrg", "seed", 1.5),
     ("ed", "k", 2.0),
     ("ed", "seed", 0.5),
-    ("eigensolver", "maxiter", 100.5),
     ("basis", "n_levels", 10.0),
     ("basis", "n_pairs", 5.0),
     ("dmrg", "m", None),
@@ -522,11 +521,6 @@ def test_non_integer_sizes_and_seeds_are_rejected_up_front(solver, name, value):
         if solver in ("basis", "sector"):
             sizes = {"n_levels": 10, "n_pairs": 5, name: v}
             return enumerate_basis(**sizes) if solver == "basis" else sector_dimension(**sizes)
-        if solver == "eigensolver":
-            action = exactdiag.HamiltonianAction(model, enumerate_basis(10, 5))
-            return exactdiag.lowest_eigenpairs(
-                action.apply, action.basis.dim, tol=1e-10, diagonal=action.diagonal, **{name: v}
-            )
         return exactdiag.iterative_ground(model, enumerate_basis(10, 5), **{name: v})
 
     message = re.escape(f"{name} must be an integer, got {value!r}")
@@ -632,18 +626,12 @@ def test_superblock_matches_dense_sector():
     assert np.allclose(lam, TOY_RHO_EIGS, atol=1e-9)
 
 
-def one_step_solves(monkeypatch):
-    """Cap every superblock solve at one Davidson step."""
-    short = functools.partial(exactdiag.lowest_eigenpairs, maxiter=1)
-    monkeypatch.setattr(dmrg, "lowest_eigenpairs", short)
-
-
 def test_superblock_reports_non_convergence(monkeypatch):
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     hole = exact_block(model, [5, 4, 3, 2, 1, 0])
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
     config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15)
-    one_step_solves(monkeypatch)
+    cap_davidson(monkeypatch, 1)
     with pytest.raises(NoConvergence):
         dmrg._solve_superblock(hole, particle, model, 6, config)
 
@@ -676,7 +664,7 @@ def test_non_convergence_carries_best_estimate_and_iteration(monkeypatch):
     hole = exact_block(model, [5, 4, 3, 2, 1, 0])
     particle = exact_block(model, [6, 7, 8, 9, 10, 11])
     config = DmrgConfig(m=64, total_pairs=6, superblock_tol=1e-15)
-    one_step_solves(monkeypatch)
+    cap_davidson(monkeypatch, 1)
     with pytest.raises(NoConvergence) as exc:
         dmrg._solve_superblock(hole, particle, model, 6, config)
     op = _Superblock(hole, particle, model, 6)
@@ -1526,9 +1514,10 @@ def test_blas_threads_come_back_after_non_convergence(monkeypatch):
         seen.append(blas_threads())
         return h @ x
 
+    cap_davidson(monkeypatch, 3)
     with caller_threads(2):
         with pytest.raises(NoConvergence):
-            exactdiag.lowest_eigenpairs(matvec, 100, tol=1e-14, diagonal=np.diag(h), maxiter=3)
+            exactdiag.lowest_eigenpairs(matvec, 100, tol=1e-14, diagonal=np.diag(h))
         assert blas_threads() == [2] * len(seen[0])
     assert len(seen) == 3 and all(counts == [1] * len(counts) for counts in seen)
 

@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -435,22 +434,27 @@ def test_iterative_argument_validation():
         lowest_eigenpairs(lambda x: x, 100, tol=1e-10, seed=-1, diagonal=np.ones(100))
 
 
-@pytest.mark.parametrize("steps", [-1, 0])
-@pytest.mark.parametrize("k", [1, 2])
-def test_max_iterations_below_one_rejected_up_front(steps, k):
-    calls = []
+@pytest.mark.parametrize(
+    "bad",
+    [{"k": 0}, {"k": 253}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"seed": -1}],
+    ids=["k=0", "k=dim+1", "tol=nan", "tol=inf", "tol=0", "seed=-1"],
+)
+def test_iterative_ground_checks_its_inputs_before_building_the_action(monkeypatch, bad):
+    # refused before the action is built, not by lowest_eigenpairs after
+    def built(*args):
+        raise AssertionError("the action was built")
 
-    def matvec(x):
-        calls.append(x)
-        return x
+    monkeypatch.setattr(exactdiag, "HamiltonianAction", built)
+    model = build_reduced_bcs(np.arange(1.0, 11.0), 0.4)
+    with pytest.raises(InvariantViolation):
+        iterative_ground(model, enumerate_basis(10, 5), **bad)  # 252 states
 
-    # the start block alone takes k steps, so k - 1 is rejected as well
-    for maxiter in (steps, k - 1):
-        with pytest.raises(InvariantViolation, match="maxiter must be at least 1"):
-            lowest_eigenpairs(
-                matvec, 100, k, tol=1e-10, maxiter=maxiter, diagonal=np.ones(100)
-            )
-    assert not calls
+
+def cap_davidson(monkeypatch, steps):
+    """Cap every Davidson solve at ``steps`` steps, in place of
+    lowest_eigenpairs' 10 n."""
+    davidson = exactdiag._davidson
+    monkeypatch.setattr(exactdiag, "_davidson", lambda *args: davidson(*args[:-1], steps))
 
 
 def test_ground_state_solve_needs_the_diagonal():
@@ -463,8 +467,7 @@ def test_ground_state_solve_needs_the_diagonal():
 def test_iterative_reports_non_convergence(monkeypatch):
     model = build_reduced_bcs(np.arange(1.0, 13.0), 0.5)
     basis = enumerate_basis(12, 6)  # 924 states
-    short = functools.partial(lowest_eigenpairs, maxiter=1)
-    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
+    cap_davidson(monkeypatch, 1)
     with pytest.raises(NoConvergence) as exc:
         iterative_ground(model, basis, tol=1e-15)
     err = exc.value
@@ -523,10 +526,9 @@ def test_non_convergence_pairs_energies_with_their_vectors(monkeypatch):
         seen.append(x.copy())
         return action.apply(x)
 
+    cap_davidson(monkeypatch, 4)
     with pytest.raises(NoConvergence) as exc:
-        lowest_eigenpairs(
-            matvec, basis.dim, 3, tol=1e-10, maxiter=4, diagonal=action.diagonal
-        )
+        lowest_eigenpairs(matvec, basis.dim, 3, tol=1e-10, diagonal=action.diagonal)
     err = exc.value
     v = np.array(seen)
     hv = np.array([action.apply(x) for x in v])
@@ -541,8 +543,6 @@ def test_non_convergence_pairs_energies_with_their_vectors(monkeypatch):
     # Ritz values lie above the eigenvalues they approximate
     assert np.all(err.energies >= dense_spectrum(model, basis).energies[:3])
     # iterative_ground starts from the same block and raises the same
-    short = functools.partial(lowest_eigenpairs, maxiter=4)
-    monkeypatch.setattr(exactdiag, "lowest_eigenpairs", short)
     with pytest.raises(NoConvergence) as again:
         iterative_ground(model, basis, k=3)
     assert np.array_equal(again.value.energies, err.energies)
