@@ -362,7 +362,3 @@ def main(argv=None) -> int:
 
 def entry_point():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry_point()

@@ -2,17 +2,15 @@
 
 Provides a matrix-free Hamiltonian action over a PairBasis (C (v1 (x) 1)
 C^T with one sparse pair-lowering matrix C, or g (P^T P - min(M, N-M))
-for the constant hop g of reduced BCS), a dense full-spectrum solver for
-small sectors (the verification oracle), iterative_ground for any
-sector, and lowest_eigenpairs, the eigensolver entry point that
-iterative_ground and the DMRG superblock solve share.  Above the dense
-fallback size, the lowest k states are found by Davidson's method
+for the constant hop g of reduced BCS); iterative_ground, the one exact
+diagonalization path, which solves small sectors by numpy's eigh of the
+sparse product C (K (x) 1) C^T and larger ones by Davidson's method
 preconditioned with the operator's diagonal, in a subspace of 3(k + 1)
-vectors: six for every ground state.  The oracle's dense matrix is the
-sparse product C (K (x) 1) C^T, and lowest_eigenpairs builds its small
-operators by applying them to one unit vector at a time; numpy's eigh
-solves both, and only the action needs more than numpy.  Davidson runs
-every OpenBLAS in the process on one thread (_one_blas_thread).
+vectors (six for every ground state); dense_spectrum, its full spectrum
+of a small sector (the verification oracle); and lowest_eigenpairs, the
+eigensolver entry point that iterative_ground and the DMRG superblock
+solve share.  Only the action needs more than numpy.  Davidson and the
+residual certificate run every OpenBLAS on one thread (_one_blas_thread).
 """
 from __future__ import annotations
 
@@ -277,10 +275,11 @@ class HamiltonianAction:
 class SpectrumResult:
     """Eigenvalues of one sector, ascending, with a residual certificate.
 
-    ``residual`` is max ||H v - E v|| over the eigenpairs the solver
-    actually formed vectors for; ``method`` records which solver produced
-    the numbers ("dense" or "iterative"), and ``matvecs`` the applications
-    of H that an iterative solve spent (0 for dense_spectrum).
+    ``residual`` is max ||H v - E v|| over the k pairs, each by a fresh
+    matvec; ``method`` records which solver produced the numbers ("dense"
+    or "iterative"), and ``matvecs`` the applications of H the solve
+    spent: Davidson's steps (none for a dense solve) plus the k
+    certifying ones.
     """
 
     energies: np.ndarray
@@ -351,7 +350,8 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0):
     """Lowest k eigenpairs of the symmetric operator ``matvec`` on R^n.
 
     Up to the dense fallback size times min(k, 8), or with k > n - 2, the
-    matrix is built column by column and diagonalized by numpy's eigh.
+    matrix is built column by column and diagonalized by numpy's eigh (for
+    DMRG superblocks and direct callers; iterative_ground has its own).
     Otherwise _davidson runs on the operator's ``diagonal`` from the k
     rows of ``v0`` (for k = 1, a vector), or from the k lowest-diagonal
     unit vectors (ties by index, found by a partition, not a full sort)
@@ -380,7 +380,7 @@ def lowest_eigenpairs(matvec, n, k=1, *, tol, diagonal, v0=None, seed=0):
 
 
 def _dense(n: int, k: int) -> bool:
-    """Whether lowest_eigenpairs solves k pairs on R^n densely."""
+    """Whether k pairs on R^n are solved densely."""
     return n <= _DENSE_FALLBACK_DIM * min(k, _DENSE_FALLBACK_PAIRS) or k > n - 2
 
 
@@ -495,25 +495,15 @@ def _davidson(matvec, diagonal, start, tol, maxiter):
 
 
 def dense_spectrum(model: PairingModel, basis: PairBasis) -> SpectrumResult:
-    """Full spectrum by numpy's eigh of the dense matrix; the small-sector
-    oracle that the tests check the solvers against.  A sector of more than
+    """Full spectrum, iterative_ground at k = dim; the small-sector oracle
+    that the tests check the solvers against.  A sector of more than
     DENSE_THRESHOLD states raises TooLarge."""
     if basis.dim > DENSE_THRESHOLD:
         raise TooLarge(
             f"sector size {basis.dim} exceeds the dense threshold "
             f"{DENSE_THRESHOLD}"
         )
-    action = HamiltonianAction(model, basis)
-    h = action.dense_matrix()
-    energies, vectors = np.linalg.eigh(h)
-    return SpectrumResult(
-        energies=energies,
-        residual=_residual(action.apply, energies, vectors),
-        method="dense",
-        n_levels=basis.n_levels,
-        n_pairs=basis.n_pairs,
-        ground_vector=vectors[:, 0].copy(),
-    )
+    return iterative_ground(model, basis, k=basis.dim)
 
 
 def iterative_ground(
@@ -523,23 +513,24 @@ def iterative_ground(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> SpectrumResult:
-    """Lowest k eigenvalues by lowest_eigenpairs on the action; the one
-    exact-diagonalization call of the command line.
+    """Lowest k eigenpairs of the sector; the one exact-diagonalization
+    path, which dense_spectrum (k = dim) and the command line share.
 
-    Davidson's method, preconditioned with the action's diagonal, finds
-    the k pairs in at most ten times the sector size steps, one matvec
-    each; one more matvec per pair certifies its residual afresh.  Each
-    pair stops at ``||H x - E x|| <= tol * |E|``, sooner where roundoff
-    bounds the residual above that (energies near 0).  The start block is
-    drawn from ``seed``, making the run deterministic.  Sectors of at
-    most 64 min(k, 8) states, or with k > dim - 2 (the full spectrum is
-    k = dim), are solved densely, by numpy's eigh at the caller's BLAS
-    thread count.  Davidson and its certificate run every OpenBLAS on one
-    thread: at N = 20, M = 10 on 2 cores that took about 11% more wall
-    time and 44% less CPU time than two threads.  Before anything is
-    built, k, tol and seed get lowest_eigenpairs' checks, and a solve
-    that would hold more entries (``eigensolver_entries``) than a k = 1
-    solve on DEFAULT_MAX_DIM states raises TooLarge.
+    Sectors of at most 64 min(k, 8) states, or with k > dim - 2, are
+    solved densely: numpy's eigh of ``dense_matrix`` at the caller's BLAS
+    thread count, of which the k lowest pairs are kept.  Larger ones go to
+    lowest_eigenpairs' Davidson's method, preconditioned with the action's
+    diagonal, in at most ten times the sector size steps, one matvec each.
+    Each pair stops at ``||H x - E x|| <= tol * |E|``, sooner where
+    roundoff bounds the residual above that (energies near 0).  The start
+    block is drawn from ``seed``, making the run deterministic.  Every
+    pair, dense or not, is then certified by one fresh matvec, at one
+    OpenBLAS thread as Davidson runs: at N = 20, M = 10 on 2 cores that
+    took about 11% more wall time and 44% less CPU time than two threads.
+    Before anything is built, k, tol and seed get lowest_eigenpairs'
+    checks, and a solve that would hold more entries
+    (``eigensolver_entries``) than a k = 1 solve on DEFAULT_MAX_DIM states
+    raises TooLarge.
     """
     check_integers(k=k)
     if not 1 <= k <= basis.dim:
@@ -553,28 +544,24 @@ def iterative_ground(
             f"pair at {DEFAULT_MAX_DIM} states"
         )
     action = HamiltonianAction(model, basis)
-    pairs = lowest_eigenpairs(
-        action.apply,
-        basis.dim,
-        k,
-        tol=tol,
-        seed=seed,
-        diagonal=action.diagonal,
-    )
-    residual, matvecs = pairs.residual, pairs.matvecs
-    if pairs.method == "iterative":
-        # Davidson's residuals come from its recurrence, whose image of a
-        # restarted subspace is a combination of earlier products; the
-        # reference solve certifies each pair with a fresh one
-        with _one_blas_thread():
-            residual = _residual(action.apply, pairs.energies, pairs.vectors)
-        matvecs += k
+    if _dense(basis.dim, k):
+        energies, vectors = np.linalg.eigh(action.dense_matrix())
+        energies, vectors, method, steps = energies[:k], vectors[:, :k], "dense", 0
+    else:
+        energies, vectors, method, _, steps = lowest_eigenpairs(
+            action.apply, basis.dim, k, tol=tol, seed=seed, diagonal=action.diagonal
+        )
+    # Davidson's residuals come from its recurrence, whose image of a
+    # restarted subspace is a combination of earlier products; every pair,
+    # dense or not, is certified with a fresh one
+    with _one_blas_thread():
+        residual = _residual(action.apply, energies, vectors)
     return SpectrumResult(
-        energies=pairs.energies,
+        energies=energies,
         residual=residual,
-        method=pairs.method,
+        method=method,
         n_levels=basis.n_levels,
         n_pairs=basis.n_pairs,
-        ground_vector=pairs.vectors[:, 0].copy(),
-        matvecs=matvecs,
+        ground_vector=vectors[:, 0].copy(),
+        matvecs=steps + k,
     )

@@ -290,9 +290,32 @@ def test_ed_k_over_the_storage_of_one_pair_at_the_budget_exits_3(tmp_path, capsy
     # entries, within the bound: it reaches the solver
     model.write_text(json.dumps({"type": "reduced_bcs", "eps": list(range(1, 15)), "G": 0.5}))
     monkeypatch.setattr(exactdiag, "HamiltonianAction", action)
+    monkeypatch.setattr(action, "dense_matrix", called)
     with pytest.raises(SolverCalled):
         main(["ed", "--model", str(model), "--pairs", "7", "--k", "3432", "--out", out])
     assert exactdiag.eigensolver_entries(3432, 3432) == 3432**2
+
+
+def test_ed_dense_solve_builds_no_columns_and_no_eigenpairs_call(tmp_path, capsys, monkeypatch):
+    # a dense ed sector is iterative_ground's own eigh of dense_matrix,
+    # not lowest_eigenpairs' column-by-column build
+    def called(*args, **kwargs):
+        raise SolverCalled
+
+    for name in ("_columns", "lowest_eigenpairs"):
+        monkeypatch.setattr(exactdiag, name, called)
+    model = tmp_path / "six.json"
+    model.write_text(json.dumps({"type": "reduced_bcs", "eps": list(range(1, 7)), "G": 0.3}))
+    out = tmp_path / "x.json"
+    for k in (1, 20):  # 20 states: dense at k = 1 and at k = dim
+        argv = ["ed", "--model", str(model), "--pairs", "3", "--k", str(k), "--out", str(out)]
+        assert main([*argv, "--no-timestamp"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "dense"
+        assert doc["matvecs"] == k
+    exact = dense_spectrum(build_reduced_bcs(np.arange(1.0, 7.0), 0.3), enumerate_basis(6, 3))
+    assert doc["energies"] == exact.energies.tolist()
+    assert "ground energy: 11.78340400075964\n" in capsys.readouterr().out
 
 
 BAD_FLAGS = [

@@ -1493,9 +1493,9 @@ def test_iterative_ground_matvecs_run_on_one_blas_thread(monkeypatch):
 
 def test_dense_eigensolves_keep_the_callers_blas_threads(monkeypatch):
     # a large dense eigh gains wall time from every thread the caller gave
-    # BLAS, so dense_spectrum and lowest_eigenpairs' dense branch outside
+    # BLAS, so dense_spectrum and iterative_ground's dense solve outside
     # a DMRG run keep them
-    seen = probed(monkeypatch, exactdiag.HamiltonianAction, "apply")
+    seen = probed(monkeypatch, np.linalg, "eigh")
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.4)
     with caller_threads(2):
         dense_spectrum(model, enumerate_basis(8, 4))

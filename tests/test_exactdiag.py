@@ -334,6 +334,16 @@ def test_dense_spectrum_too_large():
         dense_spectrum(model, basis)
 
 
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_iterative_ground_is_dense_spectrum_bitwise_on_a_dense_sector(k):
+    # one dense path: the lowest k energies are the oracle's, bit for bit
+    model = build_reduced_bcs(np.arange(1.0, 7.0), 0.3)
+    basis = enumerate_basis(6, 3)  # 20 states
+    res = iterative_ground(model, basis, k=k)
+    assert res.method == "dense"
+    assert res.energies.tobytes() == dense_spectrum(model, basis).energies[:k].tobytes()
+
+
 def test_uniform_level_shift_moves_spectrum_rigidly():
     rng = np.random.default_rng(41)
     model = random_model(rng, 6)
@@ -685,7 +695,7 @@ def test_spectrum_result_json_keys():
     assert set(doc) == {"energies", "residual", "method", "n_levels", "n_pairs", "matvecs"}
     assert doc["n_levels"] == 2
     assert doc["n_pairs"] == 1
-    assert doc["matvecs"] == 0
+    assert doc["matvecs"] == 2
     assert all(isinstance(e, float) for e in doc["energies"])
     # an iterative solve reports the matvecs it spent
     model = build_reduced_bcs(np.arange(1.0, 9.0), 0.5)
